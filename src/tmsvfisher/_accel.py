@@ -165,18 +165,24 @@ def em_fixed_point(counts, C, theta0, tol, max_iter):
 # Classical Fisher information accumulation
 # ---------------------------------------------------------------------------
 
-def cfi_terms_numpy(p, dp, p_floor, dp_floor):
-    """Sum (dp)^2/p over outcomes with p > p_floor.
+def cfi_rows(p, dp, p_floor, dp_floor):
+    """Sum (dp)^2/p over outcomes with p > p_floor, for each row of a
+    (rows, outcomes) batch such as one row per phase.
 
-    Returns (fi, n_suspect) where n_suspect counts outcomes with p <= p_floor
-    but |dp| > dp_floor (near-singular contributions that were skipped).
+    Returns (fi per row, n_suspect) where n_suspect counts outcomes, over all
+    rows, with p <= p_floor but |dp| > dp_floor (near-singular contributions
+    that were skipped).
     """
-    p = p.ravel()
-    dp = dp.ravel()
     live = p > p_floor
-    fi = float(np.sum(dp[live] ** 2 / p[live]))
-    n_suspect = int(np.sum(~live & (np.abs(dp) > dp_floor)))
+    fi = np.sum(np.where(live, dp * dp / np.where(live, p, 1.0), 0.0), axis=1)
+    n_suspect = int(np.count_nonzero(~live & (np.abs(dp) > dp_floor)))
     return fi, n_suspect
+
+
+def cfi_terms_numpy(p, dp, p_floor, dp_floor):
+    """cfi_rows for a single outcome distribution of any shape: (fi, n_suspect)."""
+    fi, n_suspect = cfi_rows(p.reshape(1, -1), dp.reshape(1, -1), p_floor, dp_floor)
+    return float(fi[0]), n_suspect
 
 
 if HAVE_NUMBA:

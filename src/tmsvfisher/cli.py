@@ -450,7 +450,9 @@ def build_parser():
     add_fit_flags(sp)
     sp.add_argument("--resamples", type=int, default=200)
     sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads (default 1: the resampled fits hold the GIL, "
+                         "so more threads run slower, with identical bands)")
     sp.add_argument("--out", default="band.csv")
     sp.set_defaults(func=cmd_bootstrap)
 

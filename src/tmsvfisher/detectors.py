@@ -141,7 +141,9 @@ def dense_probe_ladder(k_max: int) -> tuple:
     lo_band = np.linspace(0.25, 0.5 * k_max, 2 * k_max)
     mid_band = np.linspace(0.5 * k_max, 2.0 * k_max + 2.0, 18 * k_max)
     hi_band = np.linspace(2.0 * k_max + 3.0, 6.0 * k_max + 6.0, 4 * k_max + 4)
-    return tuple(np.concatenate([lo_band, mid_band, hi_band]))
+    # lo_band ends where mid_band starts: keep that intensity once, because
+    # probe data merges equal intensities
+    return tuple(np.concatenate([lo_band[:-1], mid_band, hi_band]))
 
 
 def coherent_probe_matrix(alpha_sq, k_max: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from scipy import optimize, stats
 from .detectors import DetectorPovm
 from .errors import ConfigError, IdentifiabilityError, NonConvergenceError
 from .fock import FockCutoff
-from .metrology import _sliced_thetas
+from .metrology import _sliced_thetas, outcome_series
 from .optics import InterferometerConfig, InterferometerEngine, LossModel, SqueezingParams
 
 FREE_PARAM_NAMES = ("z", "eta_p_s", "eta_p_i", "eta_d_s", "eta_d_i")
@@ -97,13 +97,11 @@ def simulate_counts(
     rng = np.random.default_rng(seed)
     phases = np.asarray(phases, dtype=float)
     eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    ths, thi = _sliced_thetas(povm_s, povm_i, config.cutoff.dim)
-    counts = np.empty((phases.size, ths.shape[1], thi.shape[1]), dtype=np.int64)
-    for idx, th in enumerate(phases):
-        p = (ths.T @ eng.populations(th) @ thi).ravel()
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()  # truncation tail redistributed; negligible at fit scales
-        counts[idx] = rng.multinomial(trials_per_phase, p).reshape(counts.shape[1:])
+    probs = outcome_series(eng, povm_s, povm_i).values(phases)
+    p = np.clip(probs.reshape(phases.size, -1), 0.0, None)
+    # the truncation tail is redistributed; negligible at fit scales
+    p /= p.sum(axis=1, keepdims=True)
+    counts = rng.multinomial(trials_per_phase, p).reshape(probs.shape)
     return CountHistogram(phases, counts, trials_per_phase)
 
 
@@ -163,15 +161,13 @@ _BOUNDS = {
 }
 
 
-def _model_log_probs(params: dict, phases, ths, thi, cutoff: FockCutoff):
+def _model_probs(params: dict, phases, ths, thi, cutoff: FockCutoff):
+    """Outcome probabilities (n_phases, n_j, n_k), clipped at 0, for natural parameters."""
     loss = LossModel(
         params["eta_p_s"], params["eta_p_i"], params["eta_d_s"], params["eta_d_i"]
     )
     eng = InterferometerEngine(SqueezingParams(params["z"]), loss, cutoff)
-    out = np.empty((phases.size, ths.shape[1], thi.shape[1]))
-    for idx, th in enumerate(phases):
-        out[idx] = ths.T @ eng.populations(th) @ thi
-    return np.clip(out, 0.0, None)
+    return np.clip(eng.population_series.project(ths, thi).values(phases), 0.0, None)
 
 
 def _default_exclusion_mask(n_j: int, n_k: int, include_single_photon: bool):
@@ -250,7 +246,7 @@ def fit_model(
         for name, t in zip(free, x):
             lo, hi = _BOUNDS[name]
             params[name] = _expit(t, lo, hi)
-        probs = _model_log_probs(params, hist.phases, ths, thi, cutoff)
+        probs = _model_probs(params, hist.phases, ths, thi, cutoff)
         pm = probs[:, mask]
         norm = pm.sum(axis=1)
         ll = float(
@@ -325,7 +321,7 @@ def neg_ll_from_vec_natural(hist, ths, thi, cutoff, mask, cmask, n_inc):
     """Negative conditional log-likelihood as a function of natural parameters."""
 
     def f(params: dict) -> float:
-        probs = _model_log_probs(params, hist.phases, ths, thi, cutoff)
+        probs = _model_probs(params, hist.phases, ths, thi, cutoff)
         pm = probs[:, mask]
         norm = pm.sum(axis=1)
         return -float(
@@ -380,7 +376,7 @@ def _observed_information_covariance(estimates, free, base, neg_ll_natural):
 
 
 def _pearson_gof(estimates, hist, ths, thi, cutoff, mask):
-    probs = _model_log_probs(estimates, hist.phases, ths, thi, cutoff)
+    probs = _model_probs(estimates, hist.phases, ths, thi, cutoff)
     pm = probs[:, mask]
     pm = pm / pm.sum(axis=1, keepdims=True)
     counts = np.zeros((hist.phases.size, ths.shape[1], thi.shape[1]))

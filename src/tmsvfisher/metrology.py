@@ -13,11 +13,20 @@ from . import _accel, __version__
 from .detectors import DetectorPovm, click_povm_from, ideal_pnr_povm
 from .errors import ConfigError
 from .fock import FockCutoff, TwoModeState
-from .optics import InterferometerConfig, InterferometerEngine, LossModel, SqueezingParams
+from .optics import (
+    InterferometerConfig,
+    InterferometerEngine,
+    LossModel,
+    PhaseSeries,
+    SqueezingParams,
+)
 
 P_FLOOR = 1e-15
 DP_FLOOR = 1e-12
 QFI_EIG_FLOOR = 1e-12
+# Phases evaluated per matrix product on a grid: bounds the per-block arrays,
+# so peak memory does not grow with the grid size.
+PHASE_BLOCK = 256
 
 # Photon-number-diagonal detection is blind to a phase common to both arms,
 # so the quantum bound is evaluated for the differential-phase family
@@ -55,11 +64,18 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Evaluate p(j, k; theta) and its exact derivative for one configuration."""
     eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    d = config.cutoff.dim
-    ths, thi = _sliced_thetas(povm_s, povm_i, d)
-    pops = eng.populations(config.phase)
-    dpops = eng.dpopulations(config.phase)
-    return OutcomeDistribution(ths.T @ pops @ thi, ths.T @ dpops @ thi, config.phase)
+    series = outcome_series(eng, povm_s, povm_i)
+    return OutcomeDistribution(
+        series.values(config.phase), series.derivatives(config.phase), config.phase
+    )
+
+
+def outcome_series(
+    eng: InterferometerEngine, povm_s: DetectorPovm, povm_i: DetectorPovm
+) -> PhaseSeries:
+    """p(j, k; theta) of the engine's state under the two POVMs, as a phase series."""
+    ths, thi = _sliced_thetas(povm_s, povm_i, eng.cutoff.dim)
+    return eng.population_series.project(ths, thi)
 
 
 def _sliced_thetas(povm_s: DetectorPovm, povm_i: DetectorPovm, d: int):
@@ -78,13 +94,32 @@ def classical_fisher(dist: OutcomeDistribution) -> float:
     non-negligible derivative a near-singular warning is raised.
     """
     fi, n_suspect = _accel.cfi_terms(dist.probs, dist.dprobs, P_FLOOR, DP_FLOOR)
+    _warn_suspects(n_suspect)
+    return fi
+
+
+def _warn_suspects(n_suspect: int):
     if n_suspect:
         warnings.warn(
             f"{n_suspect} outcome(s) with p <= {P_FLOOR} but |dp| > {DP_FLOOR}; "
             "their (near-singular) contribution was dropped",
             RuntimeWarning,
         )
-    return fi
+
+
+def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, int]:
+    """Per-phase CFI of an outcome series over a phase grid, PHASE_BLOCK phases
+    per product; also returns the near-singular outcome count over the grid."""
+    grid = np.asarray(grid, dtype=float).ravel()
+    cfi = np.empty(grid.size)
+    n_suspect = 0
+    for lo in range(0, grid.size, PHASE_BLOCK):
+        block = grid[lo : lo + PHASE_BLOCK]
+        p = series.values(block).reshape(block.size, -1)
+        dp = series.derivatives(block).reshape(block.size, -1)
+        cfi[lo : lo + block.size], n_bad = _accel.cfi_rows(p, dp, P_FLOOR, DP_FLOOR)
+        n_suspect += n_bad
+    return cfi, n_suspect
 
 
 def quantum_fisher_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -191,23 +226,19 @@ def sweep_fisher(
 ) -> FisherReport:
     """Classical (and optionally quantum) Fisher information across a phase grid.
 
-    The config's own phase field is ignored; the grid drives the sweep.
+    The config's own phase field is ignored; the grid drives the sweep. The CFI
+    comes from the outcome phase series; the QFI is evaluated per phase.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
     if phase_grid.size == 0:
         raise ConfigError("phase grid must be nonempty")
     eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    d = config.cutoff.dim
-    ths, thi = _sliced_thetas(povm_s, povm_i, d)
-    cfi = np.empty(phase_grid.size)
-    qfi = np.empty(phase_grid.size) if compute_qfi else None
-    for idx, th in enumerate(phase_grid):
-        pops = eng.populations(th)
-        dpops = eng.dpopulations(th)
-        p = ths.T @ pops @ thi
-        dp = ths.T @ dpops @ thi
-        cfi[idx], n_bad = _accel.cfi_terms(p, dp, P_FLOOR, DP_FLOOR)
-        if compute_qfi:
+    cfi, n_suspect = _cfi_on_grid(outcome_series(eng, povm_s, povm_i), phase_grid)
+    _warn_suspects(n_suspect)
+    qfi = None
+    if compute_qfi:
+        qfi = np.empty(phase_grid.size)
+        for idx, th in enumerate(phase_grid):
             if eng.is_pure:
                 qfi[idx] = quantum_fisher_pure(
                     eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR)
@@ -270,18 +301,6 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-6):
     return (0.5 * (a + b), max(f1, f2))
 
 
-def _cfi_function(eng: InterferometerEngine, povm_s: DetectorPovm, povm_i: DetectorPovm):
-    d = eng.cutoff.dim
-    ths, thi = _sliced_thetas(povm_s, povm_i, d)
-
-    def f(theta):
-        p = ths.T @ eng.populations(theta) @ thi
-        dp = ths.T @ eng.dpopulations(theta) @ thi
-        return _accel.cfi_terms(p, dp, P_FLOOR, DP_FLOOR)[0]
-
-    return f
-
-
 def max_cfi_over_phase(
     config: InterferometerConfig,
     povm_s: DetectorPovm,
@@ -291,9 +310,13 @@ def max_cfi_over_phase(
 ):
     """Maximum per-trial CFI over phase: coarse grid then golden-section refinement."""
     eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    f = _cfi_function(eng, povm_s, povm_i)
+    series = outcome_series(eng, povm_s, povm_i)
+
+    def f(theta):
+        return float(_cfi_on_grid(series, theta)[0][0])
+
     grid = np.linspace(0.0, 2.0 * math.pi, coarse_points, endpoint=False)
-    vals = np.array([f(th) for th in grid])
+    vals, _ = _cfi_on_grid(series, grid)
     i = int(np.argmax(vals))
     step = 2.0 * math.pi / coarse_points
     return golden_section_max(f, grid[i] - step, grid[i] + step, tol)

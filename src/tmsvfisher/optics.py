@@ -8,7 +8,7 @@ shifts the interferometer phase by a constant.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -184,12 +184,12 @@ def phase_shifter(theta: float, mode: str, cutoff: FockCutoff) -> ModeOperator:
     """Diagonal phase unitary exp(i n theta) on the chosen mode, embedded jointly."""
     if not math.isfinite(theta):
         raise ConfigError(f"phase must be finite, got {theta}")
+    if mode not in ("s", "i"):
+        raise ConfigError(f"mode must be 's' or 'i', got {mode!r}")
     d = cutoff.dim
     one = np.diag(np.exp(1j * theta * np.arange(d)))
     eye = np.eye(d, dtype=complex)
     mat = np.kron(one, eye) if mode == "s" else np.kron(eye, one)
-    if mode not in ("s", "i"):
-        raise ConfigError(f"mode must be 's' or 'i', got {mode!r}")
     return ModeOperator(mat, "unitary", cutoff)
 
 
@@ -295,12 +295,52 @@ def binomial_population_matrix(eta: float, d: int) -> np.ndarray:
     return B
 
 
+@dataclass(frozen=True)
+class PhaseSeries:
+    """Exact trigonometric polynomial f(theta) = Re sum_w c_w exp(i w theta).
+
+    coeffs[w + W] holds c_w for w = -W..W; any trailing axes are the shape of
+    f. Evaluating a phase grid is one matrix product E @ c with
+    E[theta, w] = exp(i w theta), and the derivative is exact: c_w -> i w c_w.
+    """
+
+    coeffs: np.ndarray
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        half = (self.coeffs.shape[0] - 1) // 2
+        return np.arange(-half, half + 1)
+
+    def values(self, thetas) -> np.ndarray:
+        """f at each phase; shape thetas.shape + the coefficients' trailing shape."""
+        return self._evaluate(thetas, derivative=False)
+
+    def derivatives(self, thetas) -> np.ndarray:
+        """df/dtheta at each phase, in the shape of values()."""
+        return self._evaluate(thetas, derivative=True)
+
+    def project(self, left: np.ndarray, right: np.ndarray) -> "PhaseSeries":
+        """Series of left^T f(theta) right, e.g. populations -> POVM outcomes."""
+        return PhaseSeries(left.T @ self.coeffs @ right)
+
+    def _evaluate(self, thetas, derivative: bool) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        w = self.frequencies
+        E = np.exp(1j * np.multiply.outer(thetas.ravel(), w))
+        if derivative:
+            E *= 1j * w
+        out = (E @ self.coeffs.reshape(w.size, -1)).real
+        return out.reshape(thetas.shape + self.coeffs.shape[1:])
+
+
 class InterferometerEngine:
     """Precomputed sigma1 -> sigma4 pipeline, fast to evaluate across phases.
 
     The phase unitary is diagonal, so sigma3(theta) differs from the fixed
     conjugation A = U_bs sigma2 U_bs^dag only by an elementwise phase factor;
     its exact theta-derivative follows from d/dtheta exp(i n theta) = i n (...).
+    The populations are therefore a finite Fourier series in theta
+    (population_series); the dense per-phase sigma3/sigma4 path serves the QFI.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
@@ -316,7 +356,6 @@ class InterferometerEngine:
         ns = signal_photon_numbers(cutoff).astype(float)
         ni = np.tile(np.arange(d, dtype=float), d)
         self._gen = {"signal": ns, "difference": 0.5 * (ns - ni)}
-        self._ns = ns
         self._dn = {
             name: g[:, None] - g[None, :] for name, g in self._gen.items()
         }
@@ -371,18 +410,38 @@ class InterferometerEngine:
 
     # -- population path (enough for diagonal POVMs) ------------------------
 
+    @cached_property
+    def population_series(self) -> PhaseSeries:
+        """diag(sigma4(theta)) over (n_s, n_i) as an exact Fourier series.
+
+        The second beam splitter conserves total photon number, so at joint
+        index k of total N, diag(sigma3)[k] only sees the N-block of A:
+        sum_{m, x} u[m] A[(m, N-m), (x, N-x)] conj(u[x]) exp(i (m - x) theta),
+        with u[m] = U_bs[k, (m, N-m)]. Binning the terms by w = m - x gives
+        c_w for w = -M..M; detection loss maps populations by the binomial
+        matrices. Costs O(d^4) once per engine.
+        """
+        d = self.cutoff.dim
+        M = self.cutoff.max_photons
+        k_s, k_i = np.divmod(np.arange(d * d), d)
+        n_s = np.arange(d)
+        # joint index of (n_s, N - n_s); where N - n_s falls outside [0, M],
+        # the clipped index lies in another block and U_bs is 0 there
+        n_i = np.clip((k_s + k_i)[:, None] - n_s[None, :], 0, M)
+        col = n_s[None, :] * d + n_i
+        u = np.take_along_axis(self.Ub, col, axis=1)
+        terms = u[:, :, None] * self._A[col[:, :, None], col[:, None, :]] * u.conj()[:, None, :]
+        w = np.arange(-M, M + 1)
+        binning = ((n_s[:, None] - n_s[None, :]).reshape(-1, 1) == w).astype(float)
+        c3 = (terms.reshape(d * d, d * d) @ binning).T.reshape(w.size, d, d)
+        return PhaseSeries(self._Bs @ c3 @ self._Bi.T)
+
     def populations(self, theta: float) -> np.ndarray:
         """diag(sigma4) as a (d, d) array over (n_s, n_i)."""
-        d = self.cutoff.dim
-        s3 = self.sigma3(theta)
-        p3 = np.real(np.diag(s3)).reshape(d, d)
-        return self._Bs @ p3 @ self._Bi.T
+        return self.population_series.values(theta)
 
     def dpopulations(self, theta: float) -> np.ndarray:
-        d = self.cutoff.dim
-        ds3 = self.dsigma3(theta)
-        dp3 = np.real(np.diag(ds3)).reshape(d, d)
-        return self._Bs @ dp3 @ self._Bi.T
+        return self.population_series.derivatives(theta)
 
     # -- lossless pure-state path -------------------------------------------
 

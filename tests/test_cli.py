@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tmsvfisher import ProbeSet, efficiency_povm, ideal_pnr_povm
-from tmsvfisher.cli import main
-from tmsvfisher.detectors import simulate_response, write_probe_csv
+from tmsvfisher.cli import build_parser, main
+from tmsvfisher.detectors import dense_probe_ladder, simulate_response, write_probe_csv
 from tmsvfisher.inference import CountHistogram
 
 
@@ -157,6 +157,16 @@ class TestTomography:
         assert payload["k_max"] == 9
         assert len(payload["theta"]) == 10
 
+    def test_dense_ladder_probe_csv_round_trip(self, tmp_path):
+        # the probe CSV merges equal intensities, so the ladder must hold
+        # distinct ones, or the merged probe has twice the shots (exit 2)
+        ladder = dense_probe_ladder(9)
+        assert len(set(ladder)) == len(ladder) == 219
+        probe_path = tmp_path / "probes.csv"
+        _probe_csv(probe_path, efficiency_povm(0.9, 9, 9), ladder=ladder)
+        assert run("tomography", probe_path, "--kmax", 9,
+                   "--out", tmp_path / "povm.json") == 0
+
     def test_too_few_probes_exits_identifiability(self, tmp_path):
         truth = efficiency_povm(0.9, 5, 5)
         probe_path = tmp_path / "probes.csv"
@@ -212,6 +222,10 @@ class TestBootstrap:
                        "--out", out) == 0
             bands.append(out.read_bytes())
         assert bands[0] == bands[1]
+
+
+    def test_threads_default_to_one(self):
+        assert build_parser().parse_args(["bootstrap", "counts.csv"]).threads == 1
 
 
 class TestLossScan:

@@ -16,6 +16,7 @@ from tmsvfisher import (
     SqueezingParams,
     classical_fisher,
     click_povm_from,
+    efficiency_povm,
     ideal_pnr_povm,
     max_cfi_over_phase,
     pnr_click_ratio,
@@ -30,7 +31,9 @@ from tmsvfisher.metrology import (
     default_phase_grid,
     golden_section_max,
     outcome_distribution,
+    outcome_series,
 )
+from tmsvfisher.optics import InterferometerEngine
 
 
 def _config(z=0.2, loss=None, phase=0.0, max_photons=8):
@@ -182,6 +185,16 @@ class TestSweep:
         rep = sweep_fisher(cfg, grid, pnr, pnr)
         assert max_cfi >= 0.99 * np.max(rep.qfi)
 
+    def test_near_singular_outcomes_warn_once_per_sweep(self):
+        # 1e-8 and 2e-8 rad from the lossless dark fringe at theta = 0, eight
+        # outcomes each have p ~ 1e-18 but |dp| ~ 1e-9: their CFI terms are
+        # dropped, and the sweep says so in one warning for the whole grid
+        grid = np.array([1e-8, 0.5, 2e-8])
+        pnr = _pnr(6)
+        with pytest.warns(RuntimeWarning, match=r"^16 outcome\(s\) with p <=") as rec:
+            sweep_fisher(_config(0.3, max_photons=6), grid, pnr, pnr, compute_qfi=False)
+        assert len(rec) == 1
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep_fisher(_config(0.2), np.array([]), _pnr(), _pnr())
@@ -191,6 +204,35 @@ class TestSweep:
         rep = sweep_fisher(_config(0.2), grid, _pnr(), _pnr(), compute_qfi=False)
         for key in ("z", "n_bar", "eta_p_s", "config_hash", "version"):
             assert key in rep.metadata
+
+
+class TestPhaseSeries:
+    def test_matches_dense_sigma4_on_random_configs(self):
+        # oracle: the dense per-phase path ths^T diag(sigma4) thi and its
+        # dsigma4 counterpart, at cutoffs 3-10 and random squeezing and losses
+        rng = np.random.default_rng(20240517)
+        for max_photons in range(3, 11):
+            d = max_photons + 1
+            eng = InterferometerEngine(
+                SqueezingParams(rng.uniform(0.05, 0.6)),
+                LossModel(*rng.uniform(0.5, 1.0, 4)),
+                FockCutoff(max_photons),
+            )
+            pnr = ideal_pnr_povm(max_photons, max_photons)
+            povms = [
+                pnr,
+                click_povm_from(pnr),
+                efficiency_povm(rng.uniform(0.6, 0.95), max_photons - 1, max_photons),
+            ]
+            thetas = rng.uniform(-math.pi, 3 * math.pi, 2)
+            for povm_s, povm_i in zip(povms, povms[1:] + povms[:1]):
+                series = outcome_series(eng, povm_s, povm_i)
+                p, dp = series.values(thetas), series.derivatives(thetas)
+                for row, th in enumerate(thetas):
+                    pops = np.real(np.diag(eng.sigma4(th))).reshape(d, d)
+                    dpops = np.real(np.diag(eng.dsigma4(th))).reshape(d, d)
+                    assert np.max(np.abs(p[row] - povm_s.theta.T @ pops @ povm_i.theta)) < 1e-12
+                    assert np.max(np.abs(dp[row] - povm_s.theta.T @ dpops @ povm_i.theta)) < 1e-12
 
 
 class TestSubSnlFraction:

@@ -134,6 +134,11 @@ class TestPhaseShifter:
         assert P[2, 2] == pytest.approx(np.exp(1j * np.pi), abs=1e-12)
 
 
+    def test_unknown_mode_rejected(self, cutoff6):
+        with pytest.raises(ConfigError, match="mode must be 's' or 'i'"):
+            phase_shifter(0.3, "x", cutoff6)
+
+
 class TestLossChannel:
     def test_eta_one_is_identity(self, cutoff6):
         rng = np.random.default_rng(5)
