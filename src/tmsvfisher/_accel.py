@@ -145,13 +145,15 @@ def em_fixed_point(counts, C, theta0, tol, max_iter):
         vnorm = np.linalg.norm(v)
         if vnorm == 0.0:
             theta = t2
+            ll = em_loglik(counts, C, theta)
         else:
             alpha = min(-np.linalg.norm(r) / vnorm, -1.0)
             cand = _project_simplex_rows(theta - 2.0 * alpha * r + alpha * alpha * v)
             # safeguard: one EM step from the extrapolant, accept if it helps
             cand = em_step(counts, C, cand)
-            theta = cand if em_loglik(counts, C, cand) >= em_loglik(counts, C, t2) else t2
-        ll = em_loglik(counts, C, theta)
+            ll_cand = em_loglik(counts, C, cand)
+            ll_t2 = em_loglik(counts, C, t2)
+            theta, ll = (cand, ll_cand) if ll_cand >= ll_t2 else (t2, ll_t2)
         ll_trace[it] = ll
         n_iter = it + 1
         if ll - ll_prev < tol:

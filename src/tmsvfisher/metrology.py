@@ -227,7 +227,8 @@ def sweep_fisher(
     """Classical (and optionally quantum) Fisher information across a phase grid.
 
     The config's own phase field is ignored; the grid drives the sweep. The CFI
-    comes from the outcome phase series; the QFI is evaluated per phase.
+    comes from the outcome phase series; the QFI is evaluated per phase, one
+    eigendecomposition per photon-number-parity block of sigma4.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
     if phase_grid.size == 0:
@@ -244,8 +245,11 @@ def sweep_fisher(
                     eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR)
                 )
             else:
-                qfi[idx] = quantum_fisher_mixed(
-                    eng.sigma4(th, QFI_GENERATOR), eng.dsigma4(th, QFI_GENERATOR)
+                rho = eng.sigma4(th, QFI_GENERATOR)
+                drho = eng.dsigma4(th, QFI_GENERATOR)
+                qfi[idx] = sum(
+                    quantum_fisher_mixed(rho[np.ix_(b, b)], drho[np.ix_(b, b)])
+                    for b in eng.parity_blocks
                 )
     meta = {
         "z": config.squeezing.z,

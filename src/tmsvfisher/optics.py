@@ -211,18 +211,44 @@ def loss_kraus_operators(eta: float, cutoff: FockCutoff) -> list[np.ndarray]:
     return ops
 
 
-def _apply_mode_kraus(rho: np.ndarray, ops: list[np.ndarray], d: int, mode: str) -> np.ndarray:
-    """Apply a one-mode Kraus channel to one mode of a joint density operator."""
-    r = rho.reshape(d, d, d, d)  # (s, i, s', i')
-    out = np.zeros_like(r)
-    for K in ops:
-        if mode == "s":
-            t = np.einsum("xa,abcd->xbcd", K, r)
-            out += np.einsum("xbcd,yc->xbyd", t, K.conj())
-        else:
-            t = np.einsum("xb,abcd->axcd", K, r)
-            out += np.einsum("axcd,yd->axcy", t, K.conj())
-    return out.reshape(d * d, d * d)
+def binomial_population_matrix(eta: float, d: int) -> np.ndarray:
+    """B[m, k] = P(m photons survive of k) under transmissivity eta."""
+    B = np.zeros((d, d))
+    for k in range(d):
+        for m in range(k + 1):
+            B[m, k] = math.comb(k, m) * eta**m * (1.0 - eta) ** (k - m)
+    return B
+
+
+def loss_superoperator(eta: float, d: int) -> np.ndarray:
+    """One-mode pure-loss channel as a (d^2, d^2) superoperator on (n, n') pairs.
+
+    L[(x, y), (a, c)] = sum_l K_l[x, a] K_l[y, c] for the Kraus set of
+    loss_kraus_operators, which is nonzero only where a - x = c - y = l; there
+    it equals sqrt(B[x, a] B[y, c]) with B the binomial survival matrix.
+    """
+    B = binomial_population_matrix(eta, d)
+    n = np.arange(d)
+    lost = n[None, :] - n[:, None]  # a - x
+    same = lost[:, None, :, None] == lost[None, :, None, :]
+    L = np.where(same, np.sqrt(B[:, None, :, None] * B[None, :, None, :]), 0.0)
+    return L.reshape(d * d, d * d)
+
+
+def _superoperator_or_none(eta: float, d: int):
+    """loss_superoperator, or None where eta = 1 and the channel is the identity."""
+    return None if eta == 1.0 else loss_superoperator(eta, d)
+
+
+def _apply_loss(rho: np.ndarray, d: int, L_s=None, L_i=None) -> np.ndarray:
+    """Loss superoperators on the signal and/or idler mode of a joint density
+    operator: L_s R L_i^T, with R = rho regrouped over (s, s') x (i, i')."""
+    R = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    if L_s is not None:
+        R = L_s @ R
+    if L_i is not None:
+        R = R @ L_i.T
+    return R.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def loss_channel(
@@ -230,9 +256,10 @@ def loss_channel(
 ) -> TwoModeState:
     """Pure-loss channel of transmissivity eta on one mode.
 
-    method='kraus' applies the closed-form Kraus set; method='ancilla' mixes
-    with a vacuum ancilla on a beam splitter and traces it out. The two agree
-    to machine precision and serve as mutual oracles.
+    method='kraus' applies the superoperator of the closed-form Kraus set
+    (loss_superoperator) as one matrix product; method='ancilla' mixes with a
+    vacuum ancilla on a beam splitter and traces it out. The two agree to
+    machine precision and serve as mutual oracles.
     """
     if mode not in ("s", "i"):
         raise ConfigError(f"mode must be 's' or 'i', got {mode!r}")
@@ -241,7 +268,11 @@ def loss_channel(
     cutoff = state.cutoff
     rho = state.to_density_matrix()
     if method == "kraus":
-        out = _apply_mode_kraus(rho, loss_kraus_operators(eta, cutoff), cutoff.dim, mode)
+        L = loss_superoperator(eta, cutoff.dim)
+        if mode == "s":
+            out = _apply_loss(rho, cutoff.dim, L_s=L)
+        else:
+            out = _apply_loss(rho, cutoff.dim, L_i=L)
     elif method == "ancilla":
         out = _loss_via_ancilla(rho, cutoff, mode, eta)
     else:
@@ -285,15 +316,6 @@ def _swap_middle_last(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Interferometer pipeline
 # ---------------------------------------------------------------------------
-
-def binomial_population_matrix(eta: float, d: int) -> np.ndarray:
-    """B[m, k] = P(m photons survive of k) under transmissivity eta."""
-    B = np.zeros((d, d))
-    for k in range(d):
-        for m in range(k + 1):
-            B[m, k] = math.comb(k, m) * eta**m * (1.0 - eta) ** (k - m)
-    return B
-
 
 @dataclass(frozen=True)
 class PhaseSeries:
@@ -341,6 +363,8 @@ class InterferometerEngine:
     its exact theta-derivative follows from d/dtheta exp(i n theta) = i n (...).
     The populations are therefore a finite Fourier series in theta
     (population_series); the dense per-phase sigma3/sigma4 path serves the QFI.
+    Loss on each arm is one superoperator product (loss_superoperator); the
+    population path needs only the binomial survival matrices.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
@@ -356,9 +380,10 @@ class InterferometerEngine:
         ns = signal_photon_numbers(cutoff).astype(float)
         ni = np.tile(np.arange(d, dtype=float), d)
         self._gen = {"signal": ns, "difference": 0.5 * (ns - ni)}
-        self._dn = {
-            name: g[:, None] - g[None, :] for name, g in self._gen.items()
-        }
+        # Every stage conserves the parity of n_s + n_i, so sigma4 and its
+        # derivative are block-diagonal over these two index sets.
+        odd = (ns + ni) % 2 == 1
+        self.parity_blocks = (np.flatnonzero(~odd), np.flatnonzero(odd))
 
         if self.prep_lossless:
             self._v2 = psi1.vector.ravel()
@@ -366,41 +391,47 @@ class InterferometerEngine:
             self._a_vec = self.Ub @ self._v2
         else:
             self._v2 = None
-            sigma2 = psi1.to_density_matrix()
-            if loss.eta_p_s < 1.0:
-                sigma2 = _apply_mode_kraus(
-                    sigma2, loss_kraus_operators(loss.eta_p_s, cutoff), d, "s"
-                )
-            if loss.eta_p_i < 1.0:
-                sigma2 = _apply_mode_kraus(
-                    sigma2, loss_kraus_operators(loss.eta_p_i, cutoff), d, "i"
-                )
+            sigma2 = _apply_loss(
+                psi1.to_density_matrix(),
+                d,
+                L_s=_superoperator_or_none(loss.eta_p_s, d),
+                L_i=_superoperator_or_none(loss.eta_p_i, d),
+            )
         self.sigma2 = sigma2
         self._A = self.Ub @ sigma2 @ self.Ub.conj().T
-        self._kraus_ds = loss_kraus_operators(loss.eta_d_s, cutoff)
-        self._kraus_di = loss_kraus_operators(loss.eta_d_i, cutoff)
         self._Bs = binomial_population_matrix(loss.eta_d_s, d)
         self._Bi = binomial_population_matrix(loss.eta_d_i, d)
 
     # -- full-matrix path --------------------------------------------------
 
+    def _phased_A(self, theta: float, generator: str) -> np.ndarray:
+        """exp(i theta g) A exp(-i theta g) for the diagonal generator g."""
+        e = np.exp(1j * theta * self._gen[generator])
+        return np.outer(e, e.conj()) * self._A
+
     def sigma3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        dn = self._dn[generator]
-        E = np.exp(1j * theta * dn)
-        return self.Ub @ (E * self._A) @ self.Ub.conj().T
+        return self.Ub @ self._phased_A(theta, generator) @ self.Ub.conj().T
 
     def dsigma3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        dn = self._dn[generator]
-        E = np.exp(1j * theta * dn) * (1j * dn)
-        return self.Ub @ (E * self._A) @ self.Ub.conj().T
+        g = self._gen[generator]
+        F = self._phased_A(theta, generator)
+        dF = 1j * (g[:, None] * F - F * g[None, :])
+        return self.Ub @ dF @ self.Ub.conj().T
+
+    @cached_property
+    def detection_superoperators(self) -> tuple:
+        """(L_s, L_i) detection-loss superoperators; None for a lossless arm."""
+        d = self.cutoff.dim
+        return (
+            _superoperator_or_none(self.loss.eta_d_s, d),
+            _superoperator_or_none(self.loss.eta_d_i, d),
+        )
 
     def _detection_loss(self, rho: np.ndarray) -> np.ndarray:
-        d = self.cutoff.dim
-        if self.loss.eta_d_s < 1.0:
-            rho = _apply_mode_kraus(rho, self._kraus_ds, d, "s")
-        if self.loss.eta_d_i < 1.0:
-            rho = _apply_mode_kraus(rho, self._kraus_di, d, "i")
-        return rho
+        if self.det_lossless:
+            return rho
+        L_s, L_i = self.detection_superoperators
+        return _apply_loss(rho, self.cutoff.dim, L_s, L_i)
 
     def sigma4(self, theta: float, generator: str = "signal") -> np.ndarray:
         return self._detection_loss(self.sigma3(theta, generator))

@@ -73,6 +73,23 @@ class TestFixedPoint:
         _, _, _, starved = _accel.em_fixed_point(counts, C, theta, 0.0, 2)
         assert not starved
 
+    def test_loglik_evaluated_at_most_twice_per_iteration(self, monkeypatch):
+        # the log-likelihood of the kept iterate is the one the safeguard
+        # already computed; only the initial point adds one more call
+        counts, C, theta0 = _random_em_problem(7)
+        calls = []
+        original = _accel.em_loglik
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(_accel, "em_loglik", counting)
+        theta, trace, n_iter, _ = _accel.em_fixed_point(counts, C, theta0, 1e-9, 2000)
+        assert n_iter > 1
+        assert len(calls) <= 2 * n_iter + 1
+        assert trace[-1] == original(counts, C, theta)
+
 
 class TestEnvironmentFlag:
     def test_no_numba_flag_selects_numpy_lane(self):

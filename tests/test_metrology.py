@@ -28,6 +28,7 @@ from tmsvfisher import (
 )
 from tmsvfisher.metrology import (
     P_FLOOR,
+    QFI_GENERATOR,
     default_phase_grid,
     golden_section_max,
     outcome_distribution,
@@ -233,6 +234,62 @@ class TestPhaseSeries:
                     dpops = np.real(np.diag(eng.dsigma4(th))).reshape(d, d)
                     assert np.max(np.abs(p[row] - povm_s.theta.T @ pops @ povm_i.theta)) < 1e-12
                     assert np.max(np.abs(dp[row] - povm_s.theta.T @ dpops @ povm_i.theta)) < 1e-12
+
+
+class TestParityBlocks:
+    """Every stage conserves the parity of n_s + n_i, so sigma4 and dsigma4 are
+    block-diagonal in it and the lossy QFI splits into two block sums."""
+
+    @staticmethod
+    def _random_engines(seed):
+        rng = np.random.default_rng(seed)
+        for max_photons in range(3, 11):
+            eng = InterferometerEngine(
+                SqueezingParams(rng.uniform(0.05, 0.6)),
+                LossModel(*rng.uniform(0.3, 0.99, 4)),
+                FockCutoff(max_photons),
+            )
+            yield eng, rng.uniform(0.0, 2 * math.pi, 2)
+
+    @staticmethod
+    def _parity(d):
+        # test-side block labels, independent of the engine's parity_blocks
+        return np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+
+    def test_no_coherence_between_even_and_odd(self):
+        for eng, thetas in self._random_engines(41):
+            par = self._parity(eng.cutoff.dim)
+            cross = par[:, None] != par[None, :]
+            for th in thetas:
+                for gen in ("signal", QFI_GENERATOR):
+                    assert np.max(np.abs(eng.sigma4(th, gen)[cross])) == 0.0
+                    assert np.max(np.abs(eng.dsigma4(th, gen)[cross])) == 0.0
+
+    def test_block_sum_matches_full_qfi(self):
+        for eng, thetas in self._random_engines(42):
+            par = self._parity(eng.cutoff.dim)
+            for th in thetas:
+                rho = eng.sigma4(th, QFI_GENERATOR)
+                drho = eng.dsigma4(th, QFI_GENERATOR)
+                full = quantum_fisher_mixed(rho, drho)
+                blocks = sum(
+                    quantum_fisher_mixed(rho[np.ix_(b, b)], drho[np.ix_(b, b)])
+                    for b in (np.flatnonzero(par == 0), np.flatnonzero(par == 1))
+                )
+                assert blocks == pytest.approx(full, rel=1e-10)
+
+    def test_sweep_qfi_column_matches_dense_loop(self):
+        rng = np.random.default_rng(43)
+        grid = rng.uniform(0.0, 2 * math.pi, 5)
+        loss = LossModel(*rng.uniform(0.3, 0.99, 4))
+        cfg = _config(0.35, loss, max_photons=7)
+        rep = sweep_fisher(cfg, grid, _pnr(7), _pnr(7))
+        eng = InterferometerEngine(cfg.squeezing, loss, cfg.cutoff)
+        dense = [
+            quantum_fisher_mixed(eng.sigma4(th, QFI_GENERATOR), eng.dsigma4(th, QFI_GENERATOR))
+            for th in grid
+        ]
+        assert rep.qfi == pytest.approx(dense, rel=1e-10)
 
 
 class TestSubSnlFraction:

@@ -19,9 +19,24 @@ from tmsvfisher import (
     tmsv_state,
 )
 from tmsvfisher.fock import mode_number_operator, partial_trace, tensor
-from tmsvfisher.optics import InterferometerEngine, tmsv_tail_bound
+from tmsvfisher import optics
+from tmsvfisher.optics import InterferometerEngine, loss_kraus_operators, tmsv_tail_bound
 
 from conftest import binomial_loss_matrix, bs_expm, random_density, tmsv_vector
+
+
+def _kraus_oracle(rho, eta, d, mode):
+    """Loss on one mode as the explicit sum over the Kraus list, two einsums each."""
+    r = rho.reshape(d, d, d, d)  # (s, i, s', i')
+    out = np.zeros_like(r)
+    for K in loss_kraus_operators(eta, FockCutoff(d - 1)):
+        if mode == "s":
+            t = np.einsum("xa,abcd->xbcd", K, r)
+            out += np.einsum("xbcd,yc->xbyd", t, K.conj())
+        else:
+            t = np.einsum("xb,abcd->axcd", K, r)
+            out += np.einsum("axcd,yd->axcy", t, K.conj())
+    return out.reshape(d * d, d * d)
 
 
 class TestSqueezingParams:
@@ -193,6 +208,18 @@ class TestLossChannel:
         expected = B @ np.abs(state.vector) ** 2
         assert np.max(np.abs(pops - expected)) < 1e-12
 
+    def test_superoperator_matches_kraus_sum_oracle(self):
+        rng = np.random.default_rng(11)
+        for max_photons in (3, 6, 10, 12):
+            c = FockCutoff(max_photons)
+            for eta in (0.0, 1.0, *rng.random(3)):
+                rho = random_density(rng, c.joint_dim)
+                state = TwoModeState.density(rho, c)
+                for mode in ("s", "i"):
+                    got = loss_channel(state, mode, eta, method="kraus").rho
+                    want = _kraus_oracle(rho, eta, c.dim, mode)
+                    assert np.max(np.abs(got - want)) < 1e-14, (max_photons, eta, mode)
+
     def test_trace_and_hermiticity_preserved(self, cutoff6):
         rng = np.random.default_rng(7)
         rho = random_density(rng, cutoff6.joint_dim)
@@ -301,6 +328,45 @@ class TestEngineInternals:
         a = np.real(np.diag(eng.sigma4(theta, "signal"))).reshape(d, d)
         b = np.real(np.diag(eng.sigma4(theta, "difference"))).reshape(d, d)
         assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_sigma4_matches_kraus_sum_oracle(self):
+        # oracle: dense TMSV density, Kraus-sum prep loss, explicit beam
+        # splitters and phase diagonal, Kraus-sum detection loss
+        rng = np.random.default_rng(12)
+        for max_photons in (3, 6, 10):
+            c = FockCutoff(max_photons)
+            d = c.dim
+            z, theta = rng.uniform(0.05, 0.6), rng.uniform(0.0, 2 * np.pi)
+            etas = rng.uniform(0.3, 1.0, 4)
+            eng = InterferometerEngine(SqueezingParams(z), LossModel(*etas), c)
+            psi = tmsv_vector(z, d)
+            rho = np.outer(psi, psi).astype(complex)
+            rho = _kraus_oracle(_kraus_oracle(rho, etas[0], d, "s"), etas[1], d, "i")
+            U = beam_splitter_unitary(0.5, c).matrix
+            W = U @ np.diag(np.exp(1j * theta * np.repeat(np.arange(d), d))) @ U
+            sigma3 = W @ rho @ W.conj().T
+            want = _kraus_oracle(_kraus_oracle(sigma3, etas[2], d, "s"), etas[3], d, "i")
+            assert np.max(np.abs(eng.sigma4(theta) - want)) < 1e-14
+            dwant = eng.dsigma3(theta)
+            dwant = _kraus_oracle(_kraus_oracle(dwant, etas[2], d, "s"), etas[3], d, "i")
+            assert np.max(np.abs(eng.dsigma4(theta) - dwant)) < 1e-14
+
+    def test_engine_path_builds_no_kraus_operators(self, cutoff6, monkeypatch):
+        calls = []
+        original = optics.loss_kraus_operators
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optics, "loss_kraus_operators", counting)
+        eng = InterferometerEngine(
+            SqueezingParams(0.3), LossModel(0.9, 0.8, 0.7, 0.95), cutoff6
+        )
+        eng.population_series
+        eng.sigma4(0.4)
+        eng.dsigma4(0.4)
+        assert calls == []
 
     def test_loss_model_scaled_composes_transmission(self):
         loss = LossModel(eta_d_s=0.8, eta_d_i=0.9)
