@@ -334,10 +334,7 @@ def cmd_bootstrap(args):
         rep = sweep_fisher(cfg, h.phases, povm_s, povm_i, compute_qfi=False)
         return rep.cfi
 
-    band = bootstrap_ci(
-        hist, pipeline, args.resamples, level=args.level, seed=args.seed,
-        threads=args.threads,
-    )
+    band = bootstrap_ci(hist, pipeline, args.resamples, level=args.level, seed=args.seed)
     meta = _provenance(
         {"resamples": args.resamples, "level": args.level, "cutoff": args.cutoff},
         seed=args.seed,
@@ -450,9 +447,6 @@ def build_parser():
     add_fit_flags(sp)
     sp.add_argument("--resamples", type=int, default=200)
     sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads (default 1: the resampled fits hold the GIL, "
-                         "so more threads run slower, with identical bands)")
     sp.add_argument("--out", default="band.csv")
     sp.set_defaults(func=cmd_bootstrap)
 

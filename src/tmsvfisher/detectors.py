@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from . import _accel
 from .errors import ConfigError, IdentifiabilityError
 from .fock import TwoModeState
 
 COMPLETENESS_TOL = 1e-9
 _WARM_FLOOR = 1e-300
+_LOG_FLOOR = 1e-300
 
 
 @dataclass
@@ -218,6 +218,70 @@ def simulate_response(
     return ResponseMatrix(counts / probes.shots_per_probe, probes.shots_per_probe)
 
 
+def _em_step(counts, C, theta):
+    """One multiplicative EM update; preserves nonnegativity and row sums."""
+    P = C @ theta
+    ratio = counts / np.maximum(P, _LOG_FLOOR)
+    new = theta * (C.T @ ratio)
+    rows = new.sum(axis=1)
+    rows[rows == 0.0] = 1.0
+    return new / rows[:, None]
+
+
+def _em_loglik(counts, C, theta):
+    P = C @ theta
+    return float(np.sum(counts * np.log(np.maximum(P, _LOG_FLOOR))))
+
+
+def _project_simplex_rows(theta):
+    theta = np.clip(theta, 0.0, None)
+    rows = theta.sum(axis=1)
+    rows[rows == 0.0] = 1.0
+    return theta / rows[:, None]
+
+
+def _em_fixed_point(counts, C, theta0, tol, max_iter):
+    """Monotone EM with SQUAREM extrapolation for the tomography likelihood.
+
+    Each outer iteration takes two multiplicative EM steps, extrapolates along
+    the implied direction (Varadhan-Roland step length), projects back onto
+    the per-row simplex, and falls back to the plain double step whenever the
+    extrapolation would lower the log-likelihood -- so the recorded trace is
+    non-decreasing. Returns (theta, ll_trace, n_iter, converged).
+    """
+    counts = np.ascontiguousarray(counts, dtype=np.float64)
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    theta = np.ascontiguousarray(theta0, dtype=np.float64)
+    ll_trace = np.empty(max_iter)
+    ll_prev = _em_loglik(counts, C, theta)
+    converged = False
+    n_iter = 0
+    for it in range(max_iter):
+        t1 = _em_step(counts, C, theta)
+        t2 = _em_step(counts, C, t1)
+        r = t1 - theta
+        v = (t2 - t1) - r
+        vnorm = np.linalg.norm(v)
+        if vnorm == 0.0:
+            theta = t2
+            ll = _em_loglik(counts, C, theta)
+        else:
+            alpha = min(-np.linalg.norm(r) / vnorm, -1.0)
+            cand = _project_simplex_rows(theta - 2.0 * alpha * r + alpha * alpha * v)
+            # safeguard: one EM step from the extrapolant, accept if it helps
+            cand = _em_step(counts, C, cand)
+            ll_cand = _em_loglik(counts, C, cand)
+            ll_t2 = _em_loglik(counts, C, t2)
+            theta, ll = (cand, ll_cand) if ll_cand >= ll_t2 else (t2, ll_t2)
+        ll_trace[it] = ll
+        n_iter = it + 1
+        if ll - ll_prev < tol:
+            converged = True
+            break
+        ll_prev = ll
+    return theta, ll_trace[:n_iter], n_iter, converged
+
+
 def tomography_mle(
     response: ResponseMatrix,
     C: np.ndarray,
@@ -266,7 +330,7 @@ def tomography_mle(
         starts = [np.asarray(theta0, dtype=float)]
     best = None
     for start in starts:
-        run = _accel.em_fixed_point(counts, C, start, tol, max_iter)
+        run = _em_fixed_point(counts, C, start, tol, max_iter)
         if best is None or run[1][-1] > best[1][-1]:
             best = run
     theta, ll_trace, n_iter, converged = best

@@ -4,7 +4,6 @@ squeezing uncertainty to the SNL, and bootstrap confidence bands."""
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,19 +240,21 @@ def fit_model(
     freq = cmask / np.maximum(n_inc[:, None], 1.0)
     phase_w = n_inc / ll_scale
 
+    def neg_ll(params: dict) -> float:
+        probs = _model_probs(params, hist.phases, ths, thi, cutoff)
+        pm = probs[:, mask]
+        norm = pm.sum(axis=1)
+        return -float(
+            np.sum(phase_w[:, None] * freq * np.log(np.maximum(pm, _LOG_FLOOR)))
+            - np.sum(phase_w * np.log(np.maximum(norm, _LOG_FLOOR)))
+        )
+
     def neg_ll_from_vec(x):
         params = dict(base)
         for name, t in zip(free, x):
             lo, hi = _BOUNDS[name]
             params[name] = _expit(t, lo, hi)
-        probs = _model_probs(params, hist.phases, ths, thi, cutoff)
-        pm = probs[:, mask]
-        norm = pm.sum(axis=1)
-        ll = float(
-            np.sum(phase_w[:, None] * freq * np.log(np.maximum(pm, _LOG_FLOOR)))
-            - np.sum(phase_w * np.log(np.maximum(norm, _LOG_FLOOR)))
-        )
-        return -ll
+        return neg_ll(params)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -294,7 +295,7 @@ def fit_model(
         warnings.warn("fitted z is at the lower boundary", RuntimeWarning)
 
     cov, cov_flags = _observed_information_covariance(
-        estimates, free, base, neg_ll_from_vec_natural(hist, ths, thi, cutoff, mask, cmask, n_inc)
+        estimates, free, base, lambda params: ll_scale * neg_ll(params)
     )
     flags.extend(cov_flags)
     stderr = {
@@ -315,21 +316,6 @@ def fit_model(
         converged=any_converged,
         flags=flags,
     )
-
-
-def neg_ll_from_vec_natural(hist, ths, thi, cutoff, mask, cmask, n_inc):
-    """Negative conditional log-likelihood as a function of natural parameters."""
-
-    def f(params: dict) -> float:
-        probs = _model_probs(params, hist.phases, ths, thi, cutoff)
-        pm = probs[:, mask]
-        norm = pm.sum(axis=1)
-        return -float(
-            np.sum(cmask * np.log(np.maximum(pm, _LOG_FLOOR)))
-            - np.sum(n_inc * np.log(np.maximum(norm, _LOG_FLOOR)))
-        )
-
-    return f
 
 
 def _observed_information_covariance(estimates, free, base, neg_ll_natural):
@@ -400,13 +386,12 @@ def bootstrap_ci(
     resamples: int,
     level: float = 0.95,
     seed=None,
-    threads: int = 1,
 ) -> dict:
     """Percentile confidence band for pipeline(hist) under multinomial resampling.
 
     pipeline maps a CountHistogram to a 1-D statistic vector. Resamples draw
     fresh multinomial counts per phase at fixed trials_per_phase. Deterministic
-    for a given seed, independent of thread count.
+    for a given seed.
     """
     if resamples < 100:
         raise ConfigError(f"resamples must be >= 100, got {resamples}")
@@ -426,12 +411,7 @@ def bootstrap_ci(
             pipeline(CountHistogram(hist.phases, new, hist.trials_per_phase)), dtype=float
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, children))
-    else:
-        results = [one(c) for c in children]
-    stat = np.stack(results)
+    stat = np.stack([one(c) for c in children])
     alpha = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(stat, alpha, axis=0)
     hi = np.percentile(stat, 100.0 - alpha, axis=0)

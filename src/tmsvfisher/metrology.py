@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel, __version__
+from . import __version__
 from .detectors import DetectorPovm, click_povm_from, ideal_pnr_povm
 from .errors import ConfigError
 from .fock import FockCutoff, TwoModeState
@@ -93,9 +93,25 @@ def classical_fisher(dist: OutcomeDistribution) -> float:
     Outcomes with p <= P_FLOOR are excluded; if such an outcome carries a
     non-negligible derivative a near-singular warning is raised.
     """
-    fi, n_suspect = _accel.cfi_terms(dist.probs, dist.dprobs, P_FLOOR, DP_FLOOR)
+    fi, n_suspect = _cfi_rows(
+        dist.probs.reshape(1, -1), dist.dprobs.reshape(1, -1), P_FLOOR, DP_FLOOR
+    )
     _warn_suspects(n_suspect)
-    return fi
+    return float(fi[0])
+
+
+def _cfi_rows(p, dp, p_floor, dp_floor):
+    """Sum (dp)^2/p over outcomes with p > p_floor, for each row of a
+    (rows, outcomes) batch such as one row per phase.
+
+    Returns (fi per row, n_suspect) where n_suspect counts outcomes, over all
+    rows, with p <= p_floor but |dp| > dp_floor (near-singular contributions
+    that were skipped).
+    """
+    live = p > p_floor
+    fi = np.sum(np.where(live, dp * dp / np.where(live, p, 1.0), 0.0), axis=1)
+    n_suspect = int(np.count_nonzero(~live & (np.abs(dp) > dp_floor)))
+    return fi, n_suspect
 
 
 def _warn_suspects(n_suspect: int):
@@ -117,7 +133,7 @@ def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, int]:
         block = grid[lo : lo + PHASE_BLOCK]
         p = series.values(block).reshape(block.size, -1)
         dp = series.derivatives(block).reshape(block.size, -1)
-        cfi[lo : lo + block.size], n_bad = _accel.cfi_rows(p, dp, P_FLOOR, DP_FLOOR)
+        cfi[lo : lo + block.size], n_bad = _cfi_rows(p, dp, P_FLOOR, DP_FLOOR)
         n_suspect += n_bad
     return cfi, n_suspect
 
@@ -141,7 +157,10 @@ def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray, lam_floor=QFI_EIG_FL
         raise ConfigError("state derivative is not Hermitian")
     lam, V = np.linalg.eigh(rho)
     M = V.conj().T @ drho @ V
-    return _accel.qfi_sector_sum(np.maximum(lam, 0.0), M, lam_floor)
+    lam = np.maximum(lam, 0.0)
+    W = lam[:, None] + lam[None, :]
+    mask = W > lam_floor
+    return 2.0 * float(np.sum((np.abs(M) ** 2)[mask] / W[mask]))
 
 
 def quantum_fisher(state: TwoModeState, dstate: np.ndarray) -> float:
@@ -270,6 +289,8 @@ def sweep_fisher(
 
 def sub_snl_fraction(report: FisherReport, which: str = "cfi") -> float:
     """Fraction of grid phases whose FI exceeds the shot-noise limit."""
+    if which not in ("cfi", "qfi"):
+        raise ConfigError(f"which must be 'cfi' or 'qfi', got {which!r}")
     if report.snl <= 0:
         raise ConfigError("SNL must be positive for a sub-SNL fraction")
     fi = report.cfi if which == "cfi" else report.qfi

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tmsvfisher import ProbeSet, efficiency_povm, ideal_pnr_povm
-from tmsvfisher.cli import build_parser, main
+from tmsvfisher.cli import main
 from tmsvfisher.detectors import dense_probe_ladder, simulate_response, write_probe_csv
 from tmsvfisher.inference import CountHistogram
 
@@ -218,14 +218,9 @@ class TestBootstrap:
         for name in ("b1.csv", "b2.csv"):
             out = tmp_path / name
             assert run("bootstrap", counts, "--cutoff", 3, "--resamples", 100,
-                       "--starts", 1, "--seed", 7, "--threads", 4,
-                       "--out", out) == 0
+                       "--starts", 1, "--seed", 7, "--out", out) == 0
             bands.append(out.read_bytes())
         assert bands[0] == bands[1]
-
-
-    def test_threads_default_to_one(self):
-        assert build_parser().parse_args(["bootstrap", "counts.csv"]).threads == 1
 
 
 class TestLossScan:

@@ -17,6 +17,7 @@ from tmsvfisher import (
     tmsv_state,
     tomography_mle,
 )
+from tmsvfisher import detectors
 from tmsvfisher.errors import IdentifiabilityError
 from tmsvfisher.fock import TwoModeState, partial_trace
 from tmsvfisher.detectors import (
@@ -161,6 +162,47 @@ class TestTomography:
         C = coherent_probe_matrix([0.5], 2)
         with pytest.raises(IdentifiabilityError):
             tomography_mle(resp, C)
+
+
+def _random_em_problem(seed=0, M=12, K=6, N=6):
+    rng = np.random.default_rng(seed)
+    C = rng.random((M, K))
+    theta = rng.random((K, N))
+    theta /= theta.sum(axis=1, keepdims=True)
+    counts = rng.integers(0, 500, size=(M, N)).astype(float)
+    return counts, C, theta
+
+
+class TestFixedPoint:
+    def test_monotone_trace_on_noisy_data(self):
+        counts, C, theta = _random_em_problem(5)
+        _, trace, n_iter, _ = detectors._em_fixed_point(counts, C, theta, 1e-9, 2000)
+        assert n_iter == trace.size
+        assert np.all(np.diff(trace) >= -1e-9)
+
+    def test_convergence_flag(self):
+        counts, C, theta = _random_em_problem(6)
+        _, _, _, converged = detectors._em_fixed_point(counts, C, theta, 1e-6, 5000)
+        assert converged
+        _, _, _, starved = detectors._em_fixed_point(counts, C, theta, 0.0, 2)
+        assert not starved
+
+    def test_loglik_evaluated_at_most_twice_per_iteration(self, monkeypatch):
+        # the log-likelihood of the kept iterate is the one the safeguard
+        # already computed; only the initial point adds one more call
+        counts, C, theta0 = _random_em_problem(7)
+        calls = []
+        original = detectors._em_loglik
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(detectors, "_em_loglik", counting)
+        theta, trace, n_iter, _ = detectors._em_fixed_point(counts, C, theta0, 1e-9, 2000)
+        assert n_iter > 1
+        assert len(calls) <= 2 * n_iter + 1
+        assert trace[-1] == original(counts, C, theta)
 
 
 class TestProbeCsv:

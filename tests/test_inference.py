@@ -20,10 +20,7 @@ from tmsvfisher import (
     simulate_counts,
     snl_with_uncertainty,
 )
-from tmsvfisher.inference import (
-    _default_exclusion_mask,
-    neg_ll_from_vec_natural,
-)
+from tmsvfisher.inference import _default_exclusion_mask, _model_probs
 from tmsvfisher.metrology import _sliced_thetas
 
 
@@ -116,13 +113,14 @@ class TestFitModel:
         truth, cfg, hist, pnr, fit = round_trip
         ths, thi = _sliced_thetas(pnr, pnr, cfg.cutoff.dim)
         mask = _default_exclusion_mask(ths.shape[1], thi.shape[1], False)
-        counts = hist.counts.astype(float)
-        cmask = counts[:, mask]
-        neg_ll = neg_ll_from_vec_natural(
-            hist, ths, thi, cfg.cutoff, mask, cmask, cmask.sum(axis=1)
-        )
+        cmask = hist.counts.astype(float)[:, mask]
         full_truth = {"eta_d_s": 1.0, "eta_d_i": 1.0, **truth}
-        assert fit.log_likelihood >= -neg_ll(full_truth) - 1e-6
+        # count-scale conditional log-likelihood over the included cells
+        pm = _model_probs(full_truth, hist.phases, ths, thi, cfg.cutoff)[:, mask]
+        ll_truth = float(
+            np.sum(cmask * np.log(pm)) - np.sum(cmask.sum(axis=1) * np.log(pm.sum(axis=1)))
+        )
+        assert fit.log_likelihood >= ll_truth - 1e-6
 
     def test_invariant_under_count_rescaling(self, round_trip):
         truth, cfg, hist, pnr, fit = round_trip
@@ -176,14 +174,12 @@ def _p11_statistic(hist: CountHistogram) -> np.ndarray:
 
 
 class TestBootstrap:
-    def test_bit_reproducible_and_thread_invariant(self):
+    def test_bit_reproducible(self):
         cfg = _truth_config(max_photons=4)
         hist, _ = _synthetic_hist(cfg, trials=5000, n_phases=4)
         a = bootstrap_ci(hist, _p11_statistic, 100, seed=11)
         b = bootstrap_ci(hist, _p11_statistic, 100, seed=11)
-        c = bootstrap_ci(hist, _p11_statistic, 100, seed=11, threads=4)
         assert np.array_equal(a["samples"], b["samples"])
-        assert np.array_equal(a["samples"], c["samples"])
 
     def test_degenerate_data_gives_zero_width_band(self):
         counts = np.zeros((3, 2, 2), dtype=int)

@@ -78,6 +78,16 @@ class TestClassicalFisher:
         with pytest.raises(ConfigError):
             OutcomeDistribution(np.array([-0.1, 1.1]), np.zeros(2), 0.0)
 
+    def test_floored_outcome_dropped_with_warning(self):
+        dist = OutcomeDistribution(
+            np.array([0.5, 0.5, 0.0]), np.array([0.1, -0.2, 0.1]), 0.0
+        )
+        with pytest.warns(RuntimeWarning) as record:
+            fi = classical_fisher(dist)
+        assert fi == pytest.approx(0.02 + 0.08, abs=1e-15)
+        assert len(record) == 1
+        assert str(record[0].message).startswith(f"1 outcome(s) with p <= {P_FLOOR}")
+
 
 class TestQuantumFisher:
     def test_fock_state_has_zero_qfi(self):
@@ -321,6 +331,15 @@ class TestSubSnlFraction:
         rep = FisherReport(grid, np.zeros(grid.size), None, snl=0.0)
         with pytest.raises(ConfigError):
             sub_snl_fraction(rep)
+
+    def test_unknown_column_rejected(self):
+        grid = default_phase_grid(1024)
+        rep = FisherReport(grid, np.full(grid.size, 2.0), np.full(grid.size, 0.5), snl=1.0)
+        assert sub_snl_fraction(rep, "cfi") == 1.0
+        assert sub_snl_fraction(rep, "qfi") == 0.0
+        for which in ("CFI", "QFI", "both"):
+            with pytest.raises(ConfigError, match=repr(which)):
+                sub_snl_fraction(rep, which)
 
 
 class TestGoldenSection:
