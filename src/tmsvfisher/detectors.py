@@ -11,10 +11,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigError, IdentifiabilityError
 from .fock import TwoModeState
+from .optics import binomial_population_matrix
 
 COMPLETENESS_TOL = 1e-9
 _WARM_FLOOR = 1e-300
@@ -89,9 +90,7 @@ def efficiency_povm(eta: float, n_max: int, k_max: int) -> DetectorPovm:
         raise ConfigError(f"efficiency must be in [0, 1], got {eta}")
     if n_max > k_max:
         raise ConfigError(f"n_max ({n_max}) must be <= k_max ({k_max})")
-    full = np.zeros((k_max + 1, k_max + 1))
-    for k in range(k_max + 1):
-        full[k, : k + 1] = stats.binom.pmf(np.arange(k + 1), k, eta)
+    full = binomial_population_matrix(eta, k_max + 1).T
     theta = np.zeros((k_max + 1, n_max + 1))
     theta[:, :n_max] = full[:, :n_max]
     theta[:, n_max] = full[:, n_max:].sum(axis=1)
@@ -159,14 +158,15 @@ def coherent_probe_matrix(alpha_sq, k_max: int) -> np.ndarray:
         raise ConfigError("probe |alpha|^2 values must be >= 0")
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
-    ks = np.arange(k_max + 1)
-    return stats.poisson.pmf(ks[None, :], alpha_sq[:, None])
+    ks = np.arange(k_max + 1)[None, :]
+    mu = alpha_sq[:, None]
+    return np.exp(special.xlogy(ks, mu) - special.gammaln(ks + 1) - mu)
 
 
 def probe_tail_deficit(alpha_sq, k_max: int) -> np.ndarray:
     """Poisson mass beyond k_max for each probe."""
     alpha_sq = np.asarray(alpha_sq, dtype=float)
-    return stats.poisson.sf(k_max, alpha_sq)
+    return special.pdtrc(k_max, alpha_sq)
 
 
 @dataclass

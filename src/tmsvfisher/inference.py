@@ -7,13 +7,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
 from .detectors import DetectorPovm
 from .errors import ConfigError, IdentifiabilityError, NonConvergenceError
 from .fock import FockCutoff
 from .metrology import _sliced_thetas, outcome_series
-from .optics import InterferometerConfig, InterferometerEngine, LossModel, SqueezingParams
+from .optics import (
+    InterferometerConfig,
+    InterferometerEngine,
+    PairSectorMap,
+    binomial_population_matrix,
+    pair_distribution,
+    pair_sector_map,
+)
 
 FREE_PARAM_NAMES = ("z", "eta_p_s", "eta_p_i", "eta_d_s", "eta_d_i")
 Z_SEARCH_MAX = 0.9
@@ -120,6 +127,9 @@ class FitResult:
     gof_dof: int
     converged: bool
     flags: list = field(default_factory=list)
+    # Nelder-Mead diagnostics: {"nfev", "nit"} per start, and the winner's index
+    starts: list = field(default_factory=list)
+    best_start: int | None = None
 
     def to_json(self, path, extra=None):
         payload = {
@@ -133,6 +143,8 @@ class FitResult:
             "gof_dof": int(self.gof_dof),
             "converged": bool(self.converged),
             "flags": list(self.flags),
+            "starts": [dict(s) for s in self.starts],
+            "best_start": self.best_start,
         }
         if extra:
             payload.update(extra)
@@ -162,11 +174,20 @@ _BOUNDS = {
 
 def _model_probs(params: dict, phases, ths, thi, cutoff: FockCutoff):
     """Outcome probabilities (n_phases, n_j, n_k), clipped at 0, for natural parameters."""
-    loss = LossModel(
-        params["eta_p_s"], params["eta_p_i"], params["eta_d_s"], params["eta_d_i"]
+    return _probs_on_map(
+        pair_sector_map(cutoff.max_photons).at_phases(phases), params, ths, thi
     )
-    eng = InterferometerEngine(SqueezingParams(params["z"]), loss, cutoff)
-    return np.clip(eng.population_series.project(ths, thi).values(phases), 0.0, None)
+
+
+def _probs_on_map(pair_map: PairSectorMap, params: dict, ths, thi):
+    """_model_probs with the pair-sector map already evaluated at the phases:
+    the pair distribution, the fixed map, the detection binomials and the
+    POVM slices. No engine and no density operator is built."""
+    d = ths.shape[0]
+    q = pair_distribution(params["z"], params["eta_p_s"], params["eta_p_i"], d)
+    left = ths.T @ binomial_population_matrix(params["eta_d_s"], d)
+    right = binomial_population_matrix(params["eta_d_i"], d).T @ thi
+    return np.clip(left @ pair_map.apply(q) @ right, 0.0, None)
 
 
 def _default_exclusion_mask(n_j: int, n_k: int, include_single_photon: bool):
@@ -197,7 +218,10 @@ def fit_model(
     """Maximum-likelihood fit of (z, losses) to a joint-count histogram.
 
     The objective is the conditional multinomial likelihood over the included
-    outcome cells. Detector POVMs are taken as known (tomography-calibrated);
+    outcome cells. The outcome probabilities are a fixed linear map of the pair
+    distribution at the histogram's phases (pair_sector_map), so each
+    evaluation costs a few small matrix products and builds no engine.
+    Detector POVMs are taken as known (tomography-calibrated);
     freeing eta_d alongside eta_p is allowed but warned as weakly identifiable.
     """
     if hist.phases.size < 2:
@@ -239,10 +263,10 @@ def fit_model(
     ll_scale = float(max(n_inc.sum(), 1.0))
     freq = cmask / np.maximum(n_inc[:, None], 1.0)
     phase_w = n_inc / ll_scale
+    pair_map = pair_sector_map(cutoff.max_photons).at_phases(hist.phases)
 
     def neg_ll(params: dict) -> float:
-        probs = _model_probs(params, hist.phases, ths, thi, cutoff)
-        pm = probs[:, mask]
+        pm = _probs_on_map(pair_map, params, ths, thi)[:, mask]
         norm = pm.sum(axis=1)
         return -float(
             np.sum(phase_w[:, None] * freq * np.log(np.maximum(pm, _LOG_FLOOR)))
@@ -270,17 +294,20 @@ def fit_model(
         starts.append(np.asarray(x0))
 
     best = None
+    best_start = None
     any_converged = False
-    for x0 in starts:
+    diagnostics = []
+    for index, x0 in enumerate(starts):
         res = optimize.minimize(
             neg_ll_from_vec,
             x0,
             method="Nelder-Mead",
             options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-10},
         )
+        diagnostics.append({"nfev": int(res.nfev), "nit": int(res.nit)})
         any_converged = any_converged or bool(res.success)
         if best is None or res.fun < best.fun:
-            best = res
+            best, best_start = res, index
     if best is None:
         raise NonConvergenceError("no optimizer start produced a result")
     if not any_converged:
@@ -302,7 +329,9 @@ def fit_model(
         name: float(math.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(free)
     }
     ll_hat = -float(best.fun) * ll_scale
-    chi2, dof = _pearson_gof(estimates, hist, ths, thi, cutoff, mask)
+    chi2, dof = _pearson_gof(
+        _probs_on_map(pair_map, estimates, ths, thi)[:, mask], cmask, len(free)
+    )
     z_hat = estimates["z"]
     return FitResult(
         estimates=estimates,
@@ -315,6 +344,8 @@ def fit_model(
         gof_dof=dof,
         converged=any_converged,
         flags=flags,
+        starts=diagnostics,
+        best_start=best_start,
     )
 
 
@@ -361,18 +392,16 @@ def _observed_information_covariance(estimates, free, base, neg_ll_natural):
     return cov, flags
 
 
-def _pearson_gof(estimates, hist, ths, thi, cutoff, mask):
-    probs = _model_probs(estimates, hist.phases, ths, thi, cutoff)
-    pm = probs[:, mask]
+def _pearson_gof(pm, cm, n_free: int):
+    """Pearson chi^2 of included-cell counts cm (phases, cells) against model
+    probabilities pm, renormalised per phase. Degrees of freedom: kept cells
+    minus one normalisation per phase minus the free parameters."""
     pm = pm / pm.sum(axis=1, keepdims=True)
-    counts = np.zeros((hist.phases.size, ths.shape[1], thi.shape[1]))
-    counts[:, : hist.counts.shape[1], : hist.counts.shape[2]] = hist.counts
-    cm = counts[:, mask]
     n_inc = cm.sum(axis=1, keepdims=True)
     expected = n_inc * pm
     keep = expected > 1e-9
     chi2 = float(np.sum((cm[keep] - expected[keep]) ** 2 / expected[keep]))
-    dof = int(keep.sum() - hist.phases.size - 3)
+    dof = int(keep.sum() - cm.shape[0] - n_free)
     return chi2, max(dof, 1)
 
 
@@ -426,6 +455,6 @@ def snl_with_uncertainty(fit: FitResult, level: float = 0.95) -> tuple:
     var_z = max(float(fit.covariance[i, i]), 0.0)
     z = fit.estimates["z"]
     dn_dz = 4.0 * z / (1.0 - z**2) ** 2
-    half = stats.norm.ppf(0.5 + level / 2.0) * math.sqrt(var_z) * abs(dn_dz)
+    half = special.ndtri(0.5 + level / 2.0) * math.sqrt(var_z) * abs(dn_dz)
     n_bar = fit.n_bar_hat
     return n_bar, (max(n_bar - half, 0.0), n_bar + half)

@@ -212,12 +212,28 @@ def loss_kraus_operators(eta: float, cutoff: FockCutoff) -> list[np.ndarray]:
 
 
 def binomial_population_matrix(eta: float, d: int) -> np.ndarray:
-    """B[m, k] = P(m photons survive of k) under transmissivity eta."""
-    B = np.zeros((d, d))
-    for k in range(d):
-        for m in range(k + 1):
-            B[m, k] = math.comb(k, m) * eta**m * (1.0 - eta) ** (k - m)
-    return B
+    """B[m, k] = P(m photons survive of k) under transmissivity eta.
+
+    Each entry is comb(k, m) * eta**m * (1 - eta)**(k - m), multiplied in that
+    order from Python's scalar powers, so the array is bit-identical to
+    filling it element by element.
+    """
+    comb, lost = _binomial_tables(d)
+    kept_pow = np.array([eta**m for m in range(d)])
+    lost_pow = np.array([(1.0 - eta) ** j for j in range(d)])
+    # comb is 0 above the diagonal, so the clipped lost index yields exact zeros
+    return comb * kept_pow[:, None] * lost_pow[lost]
+
+
+@lru_cache(maxsize=32)
+def _binomial_tables(d: int):
+    """comb[m, k] = C(k, m) as floats and the photons lost, max(k - m, 0)."""
+    n = np.arange(d)
+    comb = np.array([[math.comb(k, m) for k in range(d)] for m in range(d)], dtype=float)
+    lost = np.clip(n[None, :] - n[:, None], 0, None)
+    comb.flags.writeable = False
+    lost.flags.writeable = False
+    return comb, lost
 
 
 def loss_superoperator(eta: float, d: int) -> np.ndarray:
@@ -355,16 +371,86 @@ class PhaseSeries:
         return out.reshape(thetas.shape + self.coeffs.shape[1:])
 
 
+def pair_distribution(z: float, eta_s: float, eta_i: float, d: int) -> np.ndarray:
+    """q[a, b] = P(a signal and b idler photons) after preparation loss.
+
+    The TMSV populates only |n, n>, with weight (1 - z^2) z^(2n), and each arm
+    loses photons binomially: q = B(eta_s) diag((1 - z^2) z^(2n)) B(eta_i)^T.
+    """
+    pairs = (1.0 - z * z) * z ** (2 * np.arange(d))
+    return (binomial_population_matrix(eta_s, d) * pairs) @ binomial_population_matrix(eta_i, d).T
+
+
+@dataclass(frozen=True)
+class PairSectorMap:
+    """Linear map from the pair distribution q to the pre-detection populations.
+
+    Output joint index k = (k_s, k_i) of total photon number N_k reads q only
+    at (a, N_k - a): out[..., k] = sum_a coeffs[..., k, a] q[a, N_k - a].
+    cols[k, a] is the joint index of (a, N_k - a), clipped into range where
+    N_k - a is not a photon number; coeffs is 0 there. The leading axes of
+    coeffs are the frequencies w = -M..M of a phase series (complex) or, after
+    at_phases, a grid of phases (real).
+    """
+
+    coeffs: np.ndarray
+    cols: np.ndarray
+
+    def apply(self, q: np.ndarray) -> np.ndarray:
+        """The map applied to q; shape (leading axes) + q.shape."""
+        out = np.einsum("...ka,ka->...k", self.coeffs, q.reshape(-1)[self.cols])
+        return out.reshape(out.shape[:-1] + q.shape)
+
+    def at_phases(self, thetas) -> "PairSectorMap":
+        """The map at fixed phases, Re(E @ coeffs): one real slice per phase."""
+        return PairSectorMap(PhaseSeries(self.coeffs).values(thetas), self.cols)
+
+
+@lru_cache(maxsize=8)
+def pair_sector_map(max_photons: int) -> PairSectorMap:
+    """Pair distribution -> Fourier coefficients of diag(sigma3(theta)).
+
+    Every stage before detection conserves N = n_s + n_i, and preparation loss
+    leaves each fixed-N block of sigma2 diagonal, with q[a, N - a] on its
+    diagonal. With U the balanced beam splitter (block-diagonal in N, polar
+    factors on the truncated blocks, as in _bs_matrix) and
+    g[k, m, a] = U[k, (m, N - m)] U[(m, N - m), (a, N - a)], the coefficient of
+    exp(i w theta) in diag(sigma3)[k] is sum_a T[w, k, a] q[a, N - a], with
+    T[w, k, a] = sum_{m - x = w} g[k, m, a] conj(g[k, x, a]). Costs O(d^5)
+    once per cutoff; the returned arrays are read-only.
+    """
+    d = max_photons + 1
+    U = _bs_matrix(_BALANCED, max_photons)
+    k_s, k_i = np.divmod(np.arange(d * d), d)
+    n = np.arange(d)
+    # joint index of (n, N_k - n); where N_k - n falls outside [0, M], the
+    # clipped index lies in another N-block and U is 0 there
+    cols = n[None, :] * d + np.clip((k_s + k_i)[:, None] - n[None, :], 0, max_photons)
+    u = np.take_along_axis(U, cols, axis=1)
+    g = u[:, :, None] * U[cols[:, :, None], cols[:, None, :]]
+    T = np.empty((2 * d - 1, d * d, d), dtype=complex)
+    for w in range(-max_photons, d):
+        m = slice(max(w, 0), d + min(w, 0))  # m and x = m - w both in [0, M]
+        x = slice(m.start - w, m.stop - w)
+        T[w + max_photons] = np.sum(g[:, m, :] * g[:, x, :].conj(), axis=1)
+    T.flags.writeable = False
+    cols.flags.writeable = False
+    return PairSectorMap(T, cols)
+
+
 class InterferometerEngine:
     """Precomputed sigma1 -> sigma4 pipeline, fast to evaluate across phases.
 
-    The phase unitary is diagonal, so sigma3(theta) differs from the fixed
-    conjugation A = U_bs sigma2 U_bs^dag only by an elementwise phase factor;
-    its exact theta-derivative follows from d/dtheta exp(i n theta) = i n (...).
-    The populations are therefore a finite Fourier series in theta
-    (population_series); the dense per-phase sigma3/sigma4 path serves the QFI.
-    Loss on each arm is one superoperator product (loss_superoperator); the
-    population path needs only the binomial survival matrices.
+    The populations depend on the state only through the pair distribution q
+    (pair_distribution), and are an exact Fourier series in theta:
+    pair_sector_map gives the pre-detection series, and detection loss maps
+    populations by the binomial matrices (population_series). The dense
+    per-phase sigma3/sigma4 path serves the QFI and the tests: sigma3(theta)
+    differs from the fixed conjugation A = U_bs sigma2 U_bs^dag only by an
+    elementwise phase factor, whose exact theta-derivative follows from
+    d/dtheta exp(i n theta) = i n (...). Loss on each arm of the dense path is
+    one superoperator product (loss_superoperator). sigma2, A and the pure
+    state are built on first use.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
@@ -375,7 +461,6 @@ class InterferometerEngine:
         self.prep_lossless = loss.eta_p_s == 1.0 and loss.eta_p_i == 1.0
         self.det_lossless = loss.eta_d_s == 1.0 and loss.eta_d_i == 1.0
 
-        psi1 = tmsv_state(squeezing, cutoff)
         self.Ub = _bs_matrix(_BALANCED, cutoff.max_photons)
         ns = signal_photon_numbers(cutoff).astype(float)
         ni = np.tile(np.arange(d, dtype=float), d)
@@ -384,25 +469,30 @@ class InterferometerEngine:
         # derivative are block-diagonal over these two index sets.
         odd = (ns + ni) % 2 == 1
         self.parity_blocks = (np.flatnonzero(~odd), np.flatnonzero(odd))
-
-        if self.prep_lossless:
-            self._v2 = psi1.vector.ravel()
-            sigma2 = np.outer(self._v2, self._v2.conj())
-            self._a_vec = self.Ub @ self._v2
-        else:
-            self._v2 = None
-            sigma2 = _apply_loss(
-                psi1.to_density_matrix(),
-                d,
-                L_s=_superoperator_or_none(loss.eta_p_s, d),
-                L_i=_superoperator_or_none(loss.eta_p_i, d),
-            )
-        self.sigma2 = sigma2
-        self._A = self.Ub @ sigma2 @ self.Ub.conj().T
+        self.pairs = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, d)
         self._Bs = binomial_population_matrix(loss.eta_d_s, d)
         self._Bi = binomial_population_matrix(loss.eta_d_i, d)
 
     # -- full-matrix path --------------------------------------------------
+
+    @cached_property
+    def sigma2(self) -> np.ndarray:
+        """Density operator after preparation loss."""
+        psi1 = tmsv_state(self.squeezing, self.cutoff)
+        if self.prep_lossless:
+            v = psi1.vector.ravel()
+            return np.outer(v, v.conj())
+        d = self.cutoff.dim
+        return _apply_loss(
+            psi1.to_density_matrix(),
+            d,
+            L_s=_superoperator_or_none(self.loss.eta_p_s, d),
+            L_i=_superoperator_or_none(self.loss.eta_p_i, d),
+        )
+
+    @cached_property
+    def _A(self) -> np.ndarray:
+        return self.Ub @ self.sigma2 @ self.Ub.conj().T
 
     def _phased_A(self, theta: float, generator: str) -> np.ndarray:
         """exp(i theta g) A exp(-i theta g) for the diagonal generator g."""
@@ -443,28 +533,10 @@ class InterferometerEngine:
 
     @cached_property
     def population_series(self) -> PhaseSeries:
-        """diag(sigma4(theta)) over (n_s, n_i) as an exact Fourier series.
-
-        The second beam splitter conserves total photon number, so at joint
-        index k of total N, diag(sigma3)[k] only sees the N-block of A:
-        sum_{m, x} u[m] A[(m, N-m), (x, N-x)] conj(u[x]) exp(i (m - x) theta),
-        with u[m] = U_bs[k, (m, N-m)]. Binning the terms by w = m - x gives
-        c_w for w = -M..M; detection loss maps populations by the binomial
-        matrices. Costs O(d^4) once per engine.
-        """
-        d = self.cutoff.dim
-        M = self.cutoff.max_photons
-        k_s, k_i = np.divmod(np.arange(d * d), d)
-        n_s = np.arange(d)
-        # joint index of (n_s, N - n_s); where N - n_s falls outside [0, M],
-        # the clipped index lies in another block and U_bs is 0 there
-        n_i = np.clip((k_s + k_i)[:, None] - n_s[None, :], 0, M)
-        col = n_s[None, :] * d + n_i
-        u = np.take_along_axis(self.Ub, col, axis=1)
-        terms = u[:, :, None] * self._A[col[:, :, None], col[:, None, :]] * u.conj()[:, None, :]
-        w = np.arange(-M, M + 1)
-        binning = ((n_s[:, None] - n_s[None, :]).reshape(-1, 1) == w).astype(float)
-        c3 = (terms.reshape(d * d, d * d) @ binning).T.reshape(w.size, d, d)
+        """diag(sigma4(theta)) over (n_s, n_i) as an exact Fourier series:
+        the pair-sector map applied to the pair distribution, then the
+        detection binomials."""
+        c3 = pair_sector_map(self.cutoff.max_photons).apply(self.pairs)
         return PhaseSeries(self._Bs @ c3 @ self._Bi.T)
 
     def populations(self, theta: float) -> np.ndarray:
@@ -480,15 +552,17 @@ class InterferometerEngine:
     def is_pure(self) -> bool:
         return self.prep_lossless and self.det_lossless
 
-    def psi3(self, theta: float, generator: str = "signal") -> np.ndarray:
+    @cached_property
+    def _a_vec(self) -> np.ndarray:
         if not self.prep_lossless:
             raise ConfigError("pure-state path requires lossless preparation")
+        return self.Ub @ tmsv_state(self.squeezing, self.cutoff).vector.ravel()
+
+    def psi3(self, theta: float, generator: str = "signal") -> np.ndarray:
         g = self._gen[generator]
         return self.Ub @ (np.exp(1j * theta * g) * self._a_vec)
 
     def dpsi3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        if not self.prep_lossless:
-            raise ConfigError("pure-state path requires lossless preparation")
         g = self._gen[generator]
         return self.Ub @ (1j * g * np.exp(1j * theta * g) * self._a_vec)
 

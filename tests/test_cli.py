@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmsvfisher
 from tmsvfisher import ProbeSet, efficiency_povm, ideal_pnr_povm
 from tmsvfisher.cli import main
 from tmsvfisher.detectors import dense_probe_ladder, simulate_response, write_probe_csv
@@ -196,10 +201,39 @@ class TestFit:
         z_hat = payload["estimates"]["z"]
         assert abs(z_hat - 0.15) <= 3 * payload["stderr"]["z"] + 1e-3
 
+    def test_fit_json_records_solver_diagnostics(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        assert run("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 4,
+                   "--trials", 20000, "--seed", 5, "--out", counts) == 0
+        outputs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert run("fit", counts, "--cutoff", 3, "--starts", 3, "--seed", 2,
+                       "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert [sorted(s) for s in payload["starts"]] == [["nfev", "nit"]] * 3
+        assert payload["best_start"] in (0, 1, 2)
+        assert list(payload) == sorted(payload)
+
     def test_missing_trials_header_exits_config(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("phase_rad,j,k,count\n0.0,0,0,5\n")
         assert run("fit", bad, "--cutoff", 3) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of every CLI start
+    code = "import sys, tmsvfisher.cli; print('scipy.stats' in sys.modules)"
+    # import the same copy of the package as this test run
+    src = str(Path(tmsvfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestBootstrap:

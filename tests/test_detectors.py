@@ -111,6 +111,20 @@ class TestProbeMatrix:
         with pytest.raises(ConfigError):
             coherent_probe_matrix([-1.0], 5)
 
+    def test_bit_identical_to_scipy_stats_poisson(self):
+        # oracle: scipy.stats, which the package no longer imports
+        from scipy import stats
+
+        rng = np.random.default_rng(5)
+        alpha_sq = np.concatenate([[0.0], rng.uniform(0.0, 40.0, 200), dense_probe_ladder(9)])
+        for k_max in (0, 3, 9, 20):
+            ks = np.arange(k_max + 1)[None, :]
+            want = stats.poisson.pmf(ks, alpha_sq[:, None])
+            assert np.array_equal(coherent_probe_matrix(alpha_sq, k_max), want)
+            assert np.array_equal(
+                probe_tail_deficit(alpha_sq, k_max), stats.poisson.sf(k_max, alpha_sq)
+            )
+
     def test_default_ladder_identifiable_for_ten_outcomes(self):
         ladder = default_probe_ladder()
         assert len(ladder) >= 10

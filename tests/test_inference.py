@@ -20,8 +20,10 @@ from tmsvfisher import (
     simulate_counts,
     snl_with_uncertainty,
 )
-from tmsvfisher.inference import _default_exclusion_mask, _model_probs
+from tmsvfisher import optics
+from tmsvfisher.inference import FREE_PARAM_NAMES, _default_exclusion_mask, _model_probs
 from tmsvfisher.metrology import _sliced_thetas
+from tmsvfisher.optics import InterferometerEngine
 
 
 def _truth_config(z=0.1, eta_p_s=0.85, eta_p_i=0.9, max_photons=6):
@@ -165,6 +167,65 @@ class TestFitModel:
                 free=("z", "eta_d_s"), n_starts=1, seed=0, maxiter=300,
             )
         assert "weak-identifiability:eta_d-free" in fit.flags
+
+
+class TestFitObjective:
+    def test_model_probs_match_dense_sigma4(self):
+        # oracle: POVM slices of diag(sigma4) from the dense per-phase path,
+        # with every parameter of the model free to vary, eta_d included
+        rng = np.random.default_rng(77)
+        names = ("z", "eta_p_s", "eta_p_i", "eta_d_s", "eta_d_i")
+        for max_photons in (3, 6, 8):
+            cutoff = FockCutoff(max_photons)
+            d = cutoff.dim
+            params = dict(zip(names, [rng.uniform(0.05, 0.5), *rng.uniform(0.4, 1.0, 4)]))
+            pnr = ideal_pnr_povm(max_photons - 1, max_photons)
+            ths, thi = _sliced_thetas(pnr, pnr, d)
+            phases = rng.uniform(0.0, 2 * math.pi, 5)
+            got = _model_probs(params, phases, ths, thi, cutoff)
+            eng = InterferometerEngine(
+                SqueezingParams(params["z"]), LossModel(*(params[n] for n in names[1:])), cutoff
+            )
+            for row, th in enumerate(phases):
+                pops = np.real(np.diag(eng.sigma4(th))).reshape(d, d)
+                assert np.max(np.abs(got[row] - ths.T @ pops @ thi)) < 1e-13
+
+    def test_fit_builds_no_engine(self, monkeypatch):
+        cfg = _truth_config(max_photons=4)
+        hist, pnr = _synthetic_hist(cfg, trials=5000, n_phases=4)
+        builds = []
+        original = InterferometerEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(optics.InterferometerEngine, "__init__", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for free in (("z", "eta_p_s", "eta_p_i"), ("z", "eta_d_s", "eta_d_i")):
+                fit_model(hist, pnr, pnr, cfg.cutoff, free=free, n_starts=1, maxiter=100)
+        assert builds == []
+
+    @pytest.mark.parametrize("free", [("z",), FREE_PARAM_NAMES])
+    def test_gof_dof_counts_the_free_parameters(self, free):
+        cfg = _truth_config(max_photons=4)
+        hist, pnr = _synthetic_hist(cfg, trials=20_000, n_phases=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_model(hist, pnr, pnr, cfg.cutoff, free=free, n_starts=1, maxiter=300)
+        ths, thi = _sliced_thetas(pnr, pnr, cfg.cutoff.dim)
+        mask = _default_exclusion_mask(ths.shape[1], thi.shape[1], False)
+        pm = _model_probs(fit.estimates, hist.phases, ths, thi, cfg.cutoff)[:, mask]
+        n_inc = hist.counts[:, mask].sum(axis=1, keepdims=True)
+        kept = int(np.sum(n_inc * pm / pm.sum(axis=1, keepdims=True) > 1e-9))
+        assert fit.gof_dof == kept - hist.phases.size - len(free)
+
+    def test_records_solver_diagnostics_per_start(self, round_trip):
+        _, _, _, _, fit = round_trip
+        assert len(fit.starts) == 4
+        assert all(s["nfev"] > s["nit"] > 0 for s in fit.starts)
+        assert fit.best_start in range(4)
 
 
 def _p11_statistic(hist: CountHistogram) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Physical model layer: TMSV source, beam splitters, loss channels, and the
 interferometer pipeline, checked against independent brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,21 @@ class TestPhaseShifter:
     def test_unknown_mode_rejected(self, cutoff6):
         with pytest.raises(ConfigError, match="mode must be 's' or 'i'"):
             phase_shifter(0.3, "x", cutoff6)
+
+
+class TestBinomialPopulationMatrix:
+    def test_bit_identical_to_elementwise_loop(self):
+        def loop(eta, d):
+            B = np.zeros((d, d))
+            for k in range(d):
+                for m in range(k + 1):
+                    B[m, k] = math.comb(k, m) * eta**m * (1.0 - eta) ** (k - m)
+            return B
+
+        etas = [0.0, 1.0, 0.5, *np.random.default_rng(8).uniform(0.0, 1.0, 6).tolist()]
+        for d in range(1, 17):
+            for eta in etas:
+                assert np.array_equal(optics.binomial_population_matrix(eta, d), loop(eta, d))
 
 
 class TestLossChannel:
@@ -367,6 +384,31 @@ class TestEngineInternals:
         eng.sigma4(0.4)
         eng.dsigma4(0.4)
         assert calls == []
+
+    def test_pair_sector_series_matches_dense_sigma4(self):
+        # oracle: diag of the dense per-phase sigma4 and dsigma4; z up to 0.85
+        # puts mass in the truncated (polar-factor) blocks, and transmissivities
+        # include 0 and 1
+        rng = np.random.default_rng(606)
+        for max_photons in range(3, 11):
+            c = FockCutoff(max_photons)
+            d = c.dim
+            for z in (rng.uniform(0.05, 0.6), 0.85):
+                etas = rng.uniform(0.3, 1.0, 4)
+                etas[rng.integers(4)] = rng.choice([0.0, 1.0])
+                eng = InterferometerEngine(SqueezingParams(z), LossModel(*etas), c)
+                # sigma2's fixed-N blocks are diagonal and carry q
+                sigma2 = eng.sigma2
+                pops2 = np.real(np.diag(sigma2)).reshape(d, d)
+                assert np.max(np.abs(eng.pairs - pops2)) < 1e-15
+                N = np.add.outer(np.arange(d), np.arange(d)).ravel()
+                same_n = (N[:, None] == N[None, :]) & ~np.eye(d * d, dtype=bool)
+                assert np.max(np.abs(sigma2[same_n]), initial=0.0) < 1e-15
+                for th in rng.uniform(0.0, 2 * np.pi, 2):
+                    want = np.real(np.diag(eng.sigma4(th))).reshape(d, d)
+                    dwant = np.real(np.diag(eng.dsigma4(th))).reshape(d, d)
+                    assert np.max(np.abs(eng.populations(th) - want)) < 1e-12
+                    assert np.max(np.abs(eng.dpopulations(th) - dwant)) < 1e-12
 
     def test_loss_model_scaled_composes_transmission(self):
         loss = LossModel(eta_d_s=0.8, eta_d_i=0.9)
