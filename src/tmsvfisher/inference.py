@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .detectors import DetectorPovm
 from .errors import ConfigError, IdentifiabilityError, NonConvergenceError
@@ -224,6 +224,10 @@ def fit_model(
     Detector POVMs are taken as known (tomography-calibrated);
     freeing eta_d alongside eta_p is allowed but warned as weakly identifiable.
     """
+    # imported here, not at module level: it is most of a CLI start's import
+    # time, and only fit and bootstrap use it
+    from scipy import optimize
+
     if hist.phases.size < 2:
         warnings.warn(
             "fewer than 2 phase settings: z and losses are not jointly identifiable",

@@ -24,6 +24,9 @@ from .optics import (
 P_FLOOR = 1e-15
 DP_FLOOR = 1e-12
 QFI_EIG_FLOOR = 1e-12
+# Outcome probabilities sum to one at every phase, so their derivatives sum to
+# zero; a larger residual means the outcome model lost or gained mass.
+DSUM_TOL = 1e-9
 # Phases evaluated per matrix product on a grid: bounds the per-block arrays,
 # so peak memory does not grow with the grid size.
 PHASE_BLOCK = 256
@@ -53,10 +56,12 @@ class OutcomeDistribution:
         total = self.probs.sum()
         if total > 1.0 + 1e-9:
             raise ConfigError(f"probabilities sum to {total} > 1")
-        if abs(self.dprobs.sum()) > 1e-9:
-            warnings.warn(
-                f"derivative sum {self.dprobs.sum():.3e} deviates from 0", RuntimeWarning
-            )
+        _check_derivative_sum(self.dprobs.sum())
+
+
+def _check_derivative_sum(total: float):
+    if abs(total) > DSUM_TOL:
+        warnings.warn(f"derivative sum {total:.3e} deviates from 0", RuntimeWarning)
 
 
 def outcome_distribution(
@@ -123,19 +128,22 @@ def _warn_suspects(n_suspect: int):
         )
 
 
-def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, int]:
+def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, int, float]:
     """Per-phase CFI of an outcome series over a phase grid, PHASE_BLOCK phases
-    per product; also returns the near-singular outcome count over the grid."""
+    per product; also returns the near-singular outcome count over the grid
+    and the largest |sum of dp over outcomes| at any of its phases."""
     grid = np.asarray(grid, dtype=float).ravel()
     cfi = np.empty(grid.size)
     n_suspect = 0
+    dsum = 0.0
     for lo in range(0, grid.size, PHASE_BLOCK):
         block = grid[lo : lo + PHASE_BLOCK]
         p = series.values(block).reshape(block.size, -1)
         dp = series.derivatives(block).reshape(block.size, -1)
         cfi[lo : lo + block.size], n_bad = _cfi_rows(p, dp, P_FLOOR, DP_FLOOR)
         n_suspect += n_bad
-    return cfi, n_suspect
+        dsum = max(dsum, float(np.max(np.abs(dp.sum(axis=1)))))
+    return cfi, n_suspect, dsum
 
 
 def quantum_fisher_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -246,15 +254,17 @@ def sweep_fisher(
     """Classical (and optionally quantum) Fisher information across a phase grid.
 
     The config's own phase field is ignored; the grid drives the sweep. The CFI
-    comes from the outcome phase series; the QFI is evaluated per phase, one
-    eigendecomposition per photon-number-parity block of sigma4.
+    comes from the outcome phase series. The lossy QFI comes from the engine's
+    series of sigma4's two photon-number-parity blocks, evaluated one phase at
+    a time, with one eigendecomposition per block per phase.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
     if phase_grid.size == 0:
         raise ConfigError("phase grid must be nonempty")
     eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    cfi, n_suspect = _cfi_on_grid(outcome_series(eng, povm_s, povm_i), phase_grid)
+    cfi, n_suspect, dsum = _cfi_on_grid(outcome_series(eng, povm_s, povm_i), phase_grid)
     _warn_suspects(n_suspect)
+    _check_derivative_sum(dsum)
     qfi = None
     if compute_qfi:
         qfi = np.empty(phase_grid.size)
@@ -264,11 +274,9 @@ def sweep_fisher(
                     eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR)
                 )
             else:
-                rho = eng.sigma4(th, QFI_GENERATOR)
-                drho = eng.dsigma4(th, QFI_GENERATOR)
                 qfi[idx] = sum(
-                    quantum_fisher_mixed(rho[np.ix_(b, b)], drho[np.ix_(b, b)])
-                    for b in eng.parity_blocks
+                    quantum_fisher_mixed(*block.at(th))
+                    for block in eng.parity_block_series(QFI_GENERATOR)
                 )
     meta = {
         "z": config.squeezing.z,
@@ -341,7 +349,7 @@ def max_cfi_over_phase(
         return float(_cfi_on_grid(series, theta)[0][0])
 
     grid = np.linspace(0.0, 2.0 * math.pi, coarse_points, endpoint=False)
-    vals, _ = _cfi_on_grid(series, grid)
+    vals = _cfi_on_grid(series, grid)[0]
     i = int(np.argmax(vals))
     step = 2.0 * math.pi / coarse_points
     return golden_section_max(f, grid[i] - step, grid[i] + step, tol)

@@ -371,6 +371,27 @@ class PhaseSeries:
         return out.reshape(thetas.shape + self.coeffs.shape[1:])
 
 
+@dataclass(frozen=True)
+class HermitianSeries:
+    """Exact Hermitian-matrix trigonometric polynomial H(theta) = F + F^dag,
+    with F = sum_{w=0..W} exp(i w theta) coeffs[w].
+
+    coeffs[0] holds half the constant term, so H's frequencies are -W..W with
+    the negative ones supplied by the adjoint. The derivative is exact term by
+    term: c_w -> i w c_w. H and dH are exactly Hermitian.
+    """
+
+    coeffs: np.ndarray
+
+    def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(H(theta), dH/dtheta) at one phase."""
+        w = np.arange(self.coeffs.shape[0])
+        e = np.exp(1j * theta * w)
+        F = np.tensordot(e, self.coeffs, 1)
+        dF = np.tensordot(1j * w * e, self.coeffs, 1)
+        return F + F.conj().T, dF + dF.conj().T
+
+
 def pair_distribution(z: float, eta_s: float, eta_i: float, d: int) -> np.ndarray:
     """q[a, b] = P(a signal and b idler photons) after preparation loss.
 
@@ -444,13 +465,14 @@ class InterferometerEngine:
     The populations depend on the state only through the pair distribution q
     (pair_distribution), and are an exact Fourier series in theta:
     pair_sector_map gives the pre-detection series, and detection loss maps
-    populations by the binomial matrices (population_series). The dense
-    per-phase sigma3/sigma4 path serves the QFI and the tests: sigma3(theta)
+    populations by the binomial matrices (population_series). sigma3(theta)
     differs from the fixed conjugation A = U_bs sigma2 U_bs^dag only by an
     elementwise phase factor, whose exact theta-derivative follows from
-    d/dtheta exp(i n theta) = i n (...). Loss on each arm of the dense path is
-    one superoperator product (loss_superoperator). sigma2, A and the pure
-    state are built on first use.
+    d/dtheta exp(i n theta) = i n (...); split by frequency, this gives the
+    QFI its series of sigma4's parity blocks (parity_block_series). The dense
+    per-phase sigma4 path serves the tests and evolve_pipeline. Loss on each
+    arm is one superoperator product (loss_superoperator). sigma2, A and the
+    pure state are built on first use.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
@@ -472,6 +494,7 @@ class InterferometerEngine:
         self.pairs = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, d)
         self._Bs = binomial_population_matrix(loss.eta_d_s, d)
         self._Bi = binomial_population_matrix(loss.eta_d_i, d)
+        self._block_series = {}
 
     # -- full-matrix path --------------------------------------------------
 
@@ -528,6 +551,30 @@ class InterferometerEngine:
 
     def dsigma4(self, theta: float, generator: str = "signal") -> np.ndarray:
         return self._detection_loss(self.dsigma3(theta, generator))
+
+    def parity_block_series(self, generator: str) -> tuple[HermitianSeries, ...]:
+        """sigma4(theta) restricted to each of parity_blocks, as exact series.
+
+        Within a parity block the phase factor's frequencies g_j - g_k are the
+        integers -M..M, and detection loss is linear, so the block is
+        sum_w exp(i w theta) S_w with S_w = Lambda_d(U_bs (A o [g_j - g_k = w])
+        U_bs^dag) restricted to it; S_{-w} = S_w^dag because A is Hermitian.
+        Costs M + 1 dense evaluations, once per engine and generator.
+        """
+        if generator not in self._block_series:
+            g = self._gen[generator]
+            omega = g[:, None] - g[None, :]
+            M = self.cutoff.max_photons
+            Ubh = self.Ub.conj().T
+            coeffs = [np.empty((M + 1, b.size, b.size), dtype=complex) for b in self.parity_blocks]
+            for w in range(M + 1):
+                S = self._detection_loss(self.Ub @ np.where(omega == w, self._A, 0.0) @ Ubh)
+                for c, b in zip(coeffs, self.parity_blocks):
+                    c[w] = S[np.ix_(b, b)]
+            for c in coeffs:
+                c[0] *= 0.5
+            self._block_series[generator] = tuple(HermitianSeries(c) for c in coeffs)
+        return self._block_series[generator]
 
     # -- population path (enough for diagonal POVMs) ------------------------
 

@@ -223,9 +223,10 @@ class TestFit:
         assert run("fit", bad, "--cutoff", 3) == 2
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of every CLI start
-    code = "import sys, tmsvfisher.cli; print('scipy.stats' in sys.modules)"
+def _loaded_after_cli_import(module):
+    """'True' or 'False': whether a fresh interpreter has module loaded after
+    importing tmsvfisher.cli."""
+    code = f"import sys, tmsvfisher.cli; print({module!r} in sys.modules)"
     # import the same copy of the package as this test run
     src = str(Path(tmsvfisher.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -233,7 +234,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=120,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of every CLI start
+    assert _loaded_after_cli_import("scipy.stats") == "False"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a third of a second of every CLI start, and
+    # only fit and bootstrap use it
+    assert _loaded_after_cli_import("scipy.optimize") == "False"
 
 
 class TestBootstrap:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tmsvfisher import (
     sub_snl_fraction,
     sweep_fisher,
 )
+from tmsvfisher import metrology
 from tmsvfisher.metrology import (
     P_FLOOR,
     QFI_GENERATOR,
@@ -206,6 +208,46 @@ class TestSweep:
             sweep_fisher(_config(0.3, max_photons=6), grid, pnr, pnr, compute_qfi=False)
         assert len(rec) == 1
 
+    def test_published_sweep_raises_no_warning(self):
+        # the paper's configuration on the full grid: no floored outcome
+        # carries a derivative and the derivative sums stay at rounding level
+        cfg = InterferometerConfig(
+            SqueezingParams.from_mean_photons(3.631e-3),
+            LossModel(eta_d_s=0.805, eta_d_i=0.815),
+            0.0,
+            FockCutoff(10),
+        )
+        pnr = _pnr(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep_fisher(cfg, default_phase_grid(2048), pnr, pnr, compute_qfi=False)
+
+    def test_derivative_sum_offset_warns_once_per_sweep(self, monkeypatch):
+        # an outcome model whose dp does not sum to 0 has lost or gained mass;
+        # 600 phases span three PHASE_BLOCKs, and the sweep warns once
+        real_series = metrology.outcome_series
+
+        class OffsetSeries:
+            def __init__(self, series):
+                self.series = series
+
+            def values(self, thetas):
+                return self.series.values(thetas)
+
+            def derivatives(self, thetas):
+                dp = self.series.derivatives(thetas)
+                dp[..., 0, 0] += 1e-8  # the vacuum outcome, far above P_FLOOR
+                return dp
+
+        monkeypatch.setattr(
+            metrology, "outcome_series", lambda *args: OffsetSeries(real_series(*args))
+        )
+        cfg = _config(0.2, LossModel.symmetric(0.8), max_photons=6)
+        pnr = _pnr(6)
+        with pytest.warns(RuntimeWarning, match=r"^derivative sum 1\.000e-08 deviates") as rec:
+            sweep_fisher(cfg, default_phase_grid(600), pnr, pnr, compute_qfi=False)
+        assert len(rec) == 1
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep_fisher(_config(0.2), np.array([]), _pnr(), _pnr())
@@ -300,6 +342,58 @@ class TestParityBlocks:
             for th in grid
         ]
         assert rep.qfi == pytest.approx(dense, rel=1e-10)
+
+
+class TestParityBlockSeries:
+    """The lossy QFI reads sigma4's parity blocks from a per-engine Fourier
+    series instead of the dense per-phase sigma4, which stays the oracle."""
+
+    def test_matches_dense_sigma4_blocks_on_random_configs(self):
+        # z up to 0.85 puts mass in the truncated (polar-factor) blocks, and
+        # transmissivities include 0 and 1, with and without preparation loss
+        rng = np.random.default_rng(707)
+        for max_photons in range(3, 11):
+            for z in (rng.uniform(0.05, 0.6), 0.85):
+                for prep_loss in (False, True):
+                    etas = rng.uniform(0.3, 1.0, 4)
+                    etas[rng.integers(4)] = rng.choice([0.0, 1.0])
+                    if not prep_loss:
+                        etas[:2] = 1.0
+                    eng = InterferometerEngine(
+                        SqueezingParams(z), LossModel(*etas), FockCutoff(max_photons)
+                    )
+                    for gen in ("signal", QFI_GENERATOR):
+                        series = eng.parity_block_series(gen)
+                        for th in rng.uniform(-math.pi, 3 * math.pi, 2):
+                            rho, drho = eng.sigma4(th, gen), eng.dsigma4(th, gen)
+                            for block, b in zip(series, eng.parity_blocks):
+                                got, dgot = block.at(th)
+                                assert np.max(np.abs(got - rho[np.ix_(b, b)])) < 1e-12
+                                assert np.max(np.abs(dgot - drho[np.ix_(b, b)])) < 1e-12
+
+    def test_lossy_sweep_builds_no_dense_sigma4(self, monkeypatch):
+        def dense(self, theta, generator="signal"):
+            raise AssertionError("dense sigma4 evaluated in a sweep")
+
+        monkeypatch.setattr(InterferometerEngine, "sigma4", dense)
+        monkeypatch.setattr(InterferometerEngine, "dsigma4", dense)
+        cfg = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95), max_photons=6)
+        rep = sweep_fisher(cfg, default_phase_grid(8), _pnr(6), _pnr(6))
+        assert np.all(rep.qfi > 0.0)
+
+    def test_cfi_bounded_by_qfi_on_random_lossy_configs(self):
+        rng = np.random.default_rng(808)
+        grid = rng.uniform(0.0, 2 * math.pi, 12)
+        for max_photons in range(4, 9):
+            pnr = _pnr(max_photons)
+            for prep_loss in (False, True):
+                etas = rng.uniform(0.3, 0.99, 4)
+                if not prep_loss:
+                    etas[:2] = 1.0
+                cfg = _config(rng.uniform(0.05, 0.6), LossModel(*etas), max_photons=max_photons)
+                for povm in (pnr, click_povm_from(pnr)):
+                    rep = sweep_fisher(cfg, grid, povm, povm)
+                    assert np.all(rep.cfi <= rep.qfi * (1 + 1e-10))
 
 
 class TestSubSnlFraction:
