@@ -253,7 +253,8 @@ def cmd_loss_scan(args):
 def cmd_tomography(args):
     alphas, counts = read_probe_csv(args.probes)
     shots = counts.sum(axis=1)
-    if not np.allclose(shots, shots[0]):
+    # the counts are integers read as floats, so their sums are exact
+    if (shots != shots[0]).any():
         raise ConfigError("probe CSV has unequal shots per probe (field: count)")
     response = ResponseMatrix(counts / shots[:, None], int(shots[0]))
     C = coherent_probe_matrix(alphas, args.kmax)
@@ -262,7 +263,8 @@ def cmd_tomography(args):
     print(
         f"wrote {args.out}: {povm.theta.shape[0]}x{povm.theta.shape[1]} theta, "
         f"iterations={diag.iterations} converged={diag.converged} "
-        f"loglik={diag.log_likelihood!r} cond(C)={diag.cond_C:.3e}"
+        f"loglik={diag.log_likelihood!r} cond(C)={diag.cond_C:.3e} "
+        f"ll_gain={diag.ll_gain!r} grad_norm={diag.grad_norm!r}"
     )
     if not diag.converged:
         return EXIT_NONCONVERGENCE

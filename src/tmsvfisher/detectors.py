@@ -20,6 +20,7 @@ from .optics import binomial_population_matrix
 COMPLETENESS_TOL = 1e-9
 _WARM_FLOOR = 1e-300
 _LOG_FLOOR = 1e-300
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -218,6 +219,22 @@ def simulate_response(
     return ResponseMatrix(counts / probes.shots_per_probe, probes.shots_per_probe)
 
 
+def _flush_subnormal(theta):
+    """Set the entries of a nonnegative theta below the smallest normal float
+    to exactly 0.0, in place.
+
+    A multiplicative EM step keeps a zero at zero and the SQUAREM extrapolant
+    of three zeros is zero, so an underflowed entry stays at exact zero and
+    the products and logs of later iterations see normal numbers only.
+    Arithmetic on subnormal numbers is many times slower than on normal
+    ones. Dropping an entry below 2.3e-308 changes no sum above 1e-290, so
+    P = C @ theta and the log-likelihood stay bit-identical unless an
+    outcome's probability is itself that small.
+    """
+    theta[theta < _TINY] = 0.0
+    return theta
+
+
 def _em_step(counts, C, theta):
     """One multiplicative EM update; preserves nonnegativity and row sums."""
     P = C @ theta
@@ -225,7 +242,7 @@ def _em_step(counts, C, theta):
     new = theta * (C.T @ ratio)
     rows = new.sum(axis=1)
     rows[rows == 0.0] = 1.0
-    return new / rows[:, None]
+    return _flush_subnormal(new / rows[:, None])
 
 
 def _em_loglik(counts, C, theta):
@@ -237,7 +254,7 @@ def _project_simplex_rows(theta):
     theta = np.clip(theta, 0.0, None)
     rows = theta.sum(axis=1)
     rows[rows == 0.0] = 1.0
-    return theta / rows[:, None]
+    return _flush_subnormal(theta / rows[:, None])
 
 
 def _em_fixed_point(counts, C, theta0, tol, max_iter):

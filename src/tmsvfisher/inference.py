@@ -179,14 +179,24 @@ def _model_probs(params: dict, phases, ths, thi, cutoff: FockCutoff):
     )
 
 
-def _probs_on_map(pair_map: PairSectorMap, params: dict, ths, thi):
-    """_model_probs with the pair-sector map already evaluated at the phases:
-    the pair distribution, the fixed map, the detection binomials and the
-    POVM slices. No engine and no density operator is built."""
+def _detection_sides(params: dict, ths, thi):
+    """(left, right): each arm's detection binomial folded into its POVM slice."""
     d = ths.shape[0]
-    q = pair_distribution(params["z"], params["eta_p_s"], params["eta_p_i"], d)
     left = ths.T @ binomial_population_matrix(params["eta_d_s"], d)
     right = binomial_population_matrix(params["eta_d_i"], d).T @ thi
+    return left, right
+
+
+def _probs_on_map(pair_map: PairSectorMap, params: dict, ths, thi, sides=None):
+    """_model_probs with the pair-sector map already evaluated at the phases:
+    the pair distribution, the fixed map, the detection binomials and the
+    POVM slices. No engine and no density operator is built. sides, if
+    given, is _detection_sides at params' detection efficiencies."""
+    d = ths.shape[0]
+    q = pair_distribution(params["z"], params["eta_p_s"], params["eta_p_i"], d)
+    if sides is None:
+        sides = _detection_sides(params, ths, thi)
+    left, right = sides
     return np.clip(left @ pair_map.apply(q) @ right, 0.0, None)
 
 
@@ -240,7 +250,8 @@ def fit_model(
         if name not in FREE_PARAM_NAMES:
             raise ConfigError(f"unknown free parameter {name!r}")
     flags = []
-    if {"eta_d_s", "eta_d_i"} & set(free):
+    eta_d_free = bool({"eta_d_s", "eta_d_i"} & set(free))
+    if eta_d_free:
         warnings.warn(
             "freeing detection losses alongside preparation losses is weakly "
             "identifiable; covariance is flagged",
@@ -268,9 +279,11 @@ def fit_model(
     freq = cmask / np.maximum(n_inc[:, None], 1.0)
     phase_w = n_inc / ll_scale
     pair_map = pair_sector_map(cutoff.max_photons).at_phases(hist.phases)
+    # with both detection efficiencies fixed, every evaluation shares them
+    sides = None if eta_d_free else _detection_sides(base, ths, thi)
 
     def neg_ll(params: dict) -> float:
-        pm = _probs_on_map(pair_map, params, ths, thi)[:, mask]
+        pm = _probs_on_map(pair_map, params, ths, thi, sides)[:, mask]
         norm = pm.sum(axis=1)
         return -float(
             np.sum(phase_w[:, None] * freq * np.log(np.maximum(pm, _LOG_FLOOR)))
@@ -334,7 +347,7 @@ def fit_model(
     }
     ll_hat = -float(best.fun) * ll_scale
     chi2, dof = _pearson_gof(
-        _probs_on_map(pair_map, estimates, ths, thi)[:, mask], cmask, len(free)
+        _probs_on_map(pair_map, estimates, ths, thi, sides)[:, mask], cmask, len(free)
     )
     z_hat = estimates["z"]
     return FitResult(

@@ -12,7 +12,15 @@ import pytest
 import tmsvfisher
 from tmsvfisher import ProbeSet, efficiency_povm, ideal_pnr_povm
 from tmsvfisher.cli import main
-from tmsvfisher.detectors import dense_probe_ladder, simulate_response, write_probe_csv
+from tmsvfisher.detectors import (
+    ResponseMatrix,
+    coherent_probe_matrix,
+    dense_probe_ladder,
+    read_probe_csv,
+    simulate_response,
+    tomography_mle,
+    write_probe_csv,
+)
 from tmsvfisher.inference import CountHistogram
 
 
@@ -33,7 +41,11 @@ def _probe_csv(path, povm, shots=10**9, rng=None, ladder=None):
     ladder = ladder or tuple(np.linspace(0.25, 3 * (povm.k_max + 1), 6 * (povm.k_max + 1)))
     probes = ProbeSet(ladder, shots)
     resp = simulate_response(povm, probes, rng)
-    write_probe_csv(path, probes.alpha_sq, np.rint(resp.counts).astype(int))
+    counts = np.rint(resp.counts).astype(np.int64)
+    # every probe keeps exactly `shots` counts: the rounding residue goes to
+    # each probe's largest cell
+    counts[np.arange(len(counts)), counts.argmax(axis=1)] += shots - counts.sum(axis=1)
+    write_probe_csv(path, probes.alpha_sq, counts)
 
 
 class TestSweep:
@@ -171,6 +183,38 @@ class TestTomography:
         _probe_csv(probe_path, efficiency_povm(0.9, 9, 9), ladder=ladder)
         assert run("tomography", probe_path, "--kmax", 9,
                    "--out", tmp_path / "povm.json") == 0
+
+    def test_unequal_shots_exits_config(self, tmp_path, capsys):
+        # nine extra shots in one probe out of 10^6 are within np.allclose's
+        # default rtol, but the counts are integers and must match exactly
+        probe_path = tmp_path / "probes.csv"
+        _probe_csv(probe_path, efficiency_povm(0.9, 5, 5), shots=10**6)
+        alphas, counts = read_probe_csv(probe_path)
+        counts[3, 0] += 9
+        shots = counts.sum(axis=1)
+        assert np.allclose(shots, shots[0]) and shots[3] == shots[0] + 9
+        write_probe_csv(probe_path, alphas, counts)
+        assert run("tomography", probe_path, "--kmax", 5,
+                   "--out", tmp_path / "povm.json") == 2
+        assert "count" in capsys.readouterr().err
+
+    def test_prints_ll_gain_and_grad_norm(self, tmp_path, capsys):
+        truth = efficiency_povm(0.9, 3, 3)
+        probe_path = tmp_path / "probes.csv"
+        _probe_csv(probe_path, truth, rng=np.random.default_rng(3), shots=10**5)
+        assert run("tomography", probe_path, "--kmax", 3,
+                   "--out", tmp_path / "povm.json") == 0
+        line = capsys.readouterr().out.strip()
+        fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
+        alphas, counts = read_probe_csv(probe_path)
+        _, diag = tomography_mle(
+            ResponseMatrix(counts / counts.sum(axis=1, keepdims=True), 10**5),
+            coherent_probe_matrix(alphas, 3),
+        )
+        assert float(fields["ll_gain"]) == diag.ll_gain
+        assert float(fields["grad_norm"]) == diag.grad_norm
+        assert 0.0 <= diag.ll_gain < 1e-10
+        assert fields["loglik"] == repr(diag.log_likelihood)
 
     def test_too_few_probes_exits_identifiability(self, tmp_path):
         truth = efficiency_povm(0.9, 5, 5)

@@ -187,6 +187,30 @@ def _random_em_problem(seed=0, M=12, K=6, N=6):
     return counts, C, theta
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _unflushed_em_step(counts, C, theta):
+    """The EM step as it was before underflowed entries were set to 0.0."""
+    P = C @ theta
+    ratio = counts / np.maximum(P, detectors._LOG_FLOOR)
+    new = theta * (C.T @ ratio)
+    rows = new.sum(axis=1)
+    rows[rows == 0.0] = 1.0
+    return new / rows[:, None]
+
+
+def _unflushed_project_simplex_rows(theta):
+    theta = np.clip(theta, 0.0, None)
+    rows = theta.sum(axis=1)
+    rows[rows == 0.0] = 1.0
+    return theta / rows[:, None]
+
+
+def _n_subnormal(theta):
+    return int(np.count_nonzero((theta > 0.0) & (theta < _TINY)))
+
+
 class TestFixedPoint:
     def test_monotone_trace_on_noisy_data(self):
         counts, C, theta = _random_em_problem(5)
@@ -217,6 +241,59 @@ class TestFixedPoint:
         assert n_iter > 1
         assert len(calls) <= 2 * n_iter + 1
         assert trace[-1] == original(counts, C, theta)
+
+    def test_em_step_and_projection_leave_no_subnormal_entry(self):
+        counts, C, theta = _random_em_problem(8)
+        theta[0, 0] = 5e-320
+        theta[2, 3] = 1e-310
+        theta[1, 4] = 1e-300  # normal: kept
+        theta[4, 1] = -1e-3  # clipped by the projection
+        for flushed, oracle in (
+            (detectors._em_step(counts, C, np.abs(theta)),
+             _unflushed_em_step(counts, C, np.abs(theta))),
+            (detectors._project_simplex_rows(theta), _unflushed_project_simplex_rows(theta)),
+        ):
+            assert _n_subnormal(oracle) > 0
+            assert _n_subnormal(flushed) == 0
+            normal = oracle >= _TINY
+            assert 0.0 < flushed[1, 4] < 1e-290
+            assert np.array_equal(flushed[normal], oracle[normal])
+            assert np.all(flushed[~normal] == 0.0)
+
+    def test_trace_bit_identical_to_unflushed_oracle(self, monkeypatch):
+        # noisy ideal-PNR data from the uniform start: the multiplicative
+        # updates drive the entries off the diagonal through the subnormal
+        # range on their way to zero
+        truth = ideal_pnr_povm(4, 4)
+        probes = ProbeSet(default_probe_ladder(12), 10**5)
+        counts = simulate_response(truth, probes, np.random.default_rng(1)).counts
+        C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
+        theta0 = np.full((5, 5), 0.2)
+        theta, trace, n_iter, converged = detectors._em_fixed_point(
+            counts, C, theta0, 1e-9, 20_000
+        )
+
+        oracle_subnormals = []
+
+        def oracle_step(*args):
+            out = _unflushed_em_step(*args)
+            oracle_subnormals.append(_n_subnormal(out))
+            return out
+
+        monkeypatch.setattr(detectors, "_em_step", oracle_step)
+        monkeypatch.setattr(
+            detectors, "_project_simplex_rows", _unflushed_project_simplex_rows
+        )
+        ref_theta, ref_trace, ref_n, ref_converged = detectors._em_fixed_point(
+            counts, C, theta0, 1e-9, 20_000
+        )
+        assert sum(oracle_subnormals) > 0
+        assert converged and ref_converged
+        assert n_iter == ref_n
+        assert trace.tobytes() == ref_trace.tobytes()
+        normal = ref_theta >= _TINY
+        assert np.array_equal(theta[normal], ref_theta[normal])
+        assert np.all(theta[~normal] == 0.0)
 
 
 class TestProbeCsv:

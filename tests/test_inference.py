@@ -20,7 +20,7 @@ from tmsvfisher import (
     simulate_counts,
     snl_with_uncertainty,
 )
-from tmsvfisher import optics
+from tmsvfisher import inference, optics
 from tmsvfisher.inference import FREE_PARAM_NAMES, _default_exclusion_mask, _model_probs
 from tmsvfisher.metrology import _sliced_thetas
 from tmsvfisher.optics import InterferometerEngine
@@ -206,6 +206,38 @@ class TestFitObjective:
             for free in (("z", "eta_p_s", "eta_p_i"), ("z", "eta_d_s", "eta_d_i")):
                 fit_model(hist, pnr, pnr, cfg.cutoff, free=free, n_starts=1, maxiter=100)
         assert builds == []
+
+    def test_fixed_detection_binomials_built_once_per_fit(self, monkeypatch):
+        # one pair distribution per objective evaluation; the two detection
+        # binomials per evaluation only when an eta_d is free
+        cfg = _truth_config(max_photons=4)
+        hist, pnr = _synthetic_hist(cfg, trials=5000, n_phases=4)
+        calls = {"pair": 0, "binomial": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            inference, "pair_distribution", counted("pair", inference.pair_distribution)
+        )
+        monkeypatch.setattr(
+            inference,
+            "binomial_population_matrix",
+            counted("binomial", inference.binomial_population_matrix),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for free, per_evaluation, once in (
+                (("z", "eta_p_s", "eta_p_i"), 0, 2),
+                (("z", "eta_d_s"), 2, 0),
+            ):
+                calls.update(pair=0, binomial=0)
+                fit_model(hist, pnr, pnr, cfg.cutoff, free=free, n_starts=1, maxiter=100)
+                assert calls["pair"] > 100
+                assert calls["binomial"] == per_evaluation * calls["pair"] + once
 
     @pytest.mark.parametrize("free", [("z",), FREE_PARAM_NAMES])
     def test_gof_dof_counts_the_free_parameters(self, free):
