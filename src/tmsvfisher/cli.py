@@ -282,7 +282,12 @@ def cmd_fit(args):
     hist = CountHistogram.from_csv(args.counts)
     cutoff = FockCutoff(args.cutoff)
     povm_s, povm_i = _load_povms(args, cutoff)
-    fixed = json.loads(args.fixed) if args.fixed else {}
+    try:
+        fixed = json.loads(args.fixed) if args.fixed else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--fixed is not valid JSON: {exc} (field: fixed)") from exc
+    if not isinstance(fixed, dict):
+        raise ConfigError("--fixed must be a JSON object of parameter values (field: fixed)")
     free = tuple(args.free.split(",")) if args.free else ("z", "eta_p_s", "eta_p_i")
     fit = fit_model(
         hist,
@@ -326,7 +331,7 @@ def cmd_bootstrap(args):
         fit = fit_model(
             h, povm_s, povm_i, cutoff,
             free=("z", "eta_p_s", "eta_p_i"),
-            n_starts=args.starts, seed=0, maxiter=1000,
+            n_starts=args.starts, seed=0,
         )
         loss = LossModel(
             fit.estimates["eta_p_s"], fit.estimates["eta_p_i"],

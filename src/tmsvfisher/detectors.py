@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, IdentifiabilityError
 from .fock import TwoModeState
@@ -159,6 +158,9 @@ def coherent_probe_matrix(alpha_sq, k_max: int) -> np.ndarray:
         raise ConfigError("probe |alpha|^2 values must be >= 0")
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
+    # imported here, not at module level, to keep scipy out of a CLI start
+    from scipy import special
+
     ks = np.arange(k_max + 1)[None, :]
     mu = alpha_sq[:, None]
     return np.exp(special.xlogy(ks, mu) - special.gammaln(ks + 1) - mu)
@@ -166,6 +168,8 @@ def coherent_probe_matrix(alpha_sq, k_max: int) -> np.ndarray:
 
 def probe_tail_deficit(alpha_sq, k_max: int) -> np.ndarray:
     """Poisson mass beyond k_max for each probe."""
+    from scipy import special
+
     alpha_sq = np.asarray(alpha_sq, dtype=float)
     return special.pdtrc(k_max, alpha_sq)
 

@@ -7,10 +7,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-
 from .detectors import DetectorPovm
-from .errors import ConfigError, IdentifiabilityError, NonConvergenceError
+from .errors import ConfigError
 from .fock import FockCutoff
 from .metrology import _sliced_thetas, outcome_series
 from .optics import (
@@ -18,7 +16,6 @@ from .optics import (
     InterferometerEngine,
     PairSectorMap,
     binomial_population_matrix,
-    pair_distribution,
     pair_sector_map,
 )
 
@@ -127,7 +124,8 @@ class FitResult:
     gof_dof: int
     converged: bool
     flags: list = field(default_factory=list)
-    # Nelder-Mead diagnostics: {"nfev", "nit"} per start, and the winner's index
+    # solver diagnostics per start, {"nfev": objective evaluations, "nit":
+    # Fisher-scoring steps}, and the winner's index
     starts: list = field(default_factory=list)
     best_start: int | None = None
 
@@ -159,8 +157,13 @@ def _logit(p, lo, hi):
     return math.log(x / (1.0 - x))
 
 
-def _expit(t, lo, hi):
-    return lo + (hi - lo) / (1.0 + math.exp(-t))
+def _from_logit(t, lo, hi):
+    """Natural parameters at logit coordinates t, and the map's Jacobian
+    (elementwise)."""
+    e = np.exp(-t)
+    s = 1.0 / (1.0 + e)
+    # e * s is 1 - s, without cancellation as s -> 1
+    return lo + (hi - lo) * s, (hi - lo) * s * (e * s)
 
 
 _BOUNDS = {
@@ -170,34 +173,82 @@ _BOUNDS = {
     "eta_d_s": (0.0, 1.0),
     "eta_d_i": (0.0, 1.0),
 }
+# Fisher scoring: the largest step in any logit coordinate, the Armijo
+# fraction of the predicted decrease, and the predicted decrease of the
+# frequency-form objective below which a start has converged (the objective
+# itself rounds at about 1e-16 on criterion 7's fit)
+_STEP_CAP = 4.0
+_ARMIJO = 1e-4
+_PRED_TOL = 1e-13
 
 
 def _model_probs(params: dict, phases, ths, thi, cutoff: FockCutoff):
     """Outcome probabilities (n_phases, n_j, n_k), clipped at 0, for natural parameters."""
-    return _probs_on_map(
-        pair_sector_map(cutoff.max_photons).at_phases(phases), params, ths, thi
-    )
+    pair_map = pair_sector_map(cutoff.max_photons).at_phases(phases)
+    return _probs_and_derivatives(pair_map, params, (), ths, thi)[0]
+
+
+def _binomial_derivative(B):
+    """dB/d(eta) for B = binomial_population_matrix(eta, d), from
+    dB[m, k] = k (B[m - 1, k - 1] - B[m, k - 1]), with B[-1, :] = 0."""
+    prev = np.zeros_like(B)
+    prev[:, 1:] = B[:, :-1]
+    lower = np.zeros_like(B)
+    lower[1:] = prev[:-1]
+    return np.arange(B.shape[1]) * (lower - prev)
 
 
 def _detection_sides(params: dict, ths, thi):
-    """(left, right): each arm's detection binomial folded into its POVM slice."""
+    """(left, right, d_left, d_right): each arm's detection binomial folded into
+    its POVM slice, and the derivative of each side in its arm's eta_d."""
     d = ths.shape[0]
-    left = ths.T @ binomial_population_matrix(params["eta_d_s"], d)
-    right = binomial_population_matrix(params["eta_d_i"], d).T @ thi
-    return left, right
+    b_s = binomial_population_matrix(params["eta_d_s"], d)
+    b_i = binomial_population_matrix(params["eta_d_i"], d)
+    return (
+        ths.T @ b_s,
+        b_i.T @ thi,
+        ths.T @ _binomial_derivative(b_s),
+        _binomial_derivative(b_i).T @ thi,
+    )
 
 
-def _probs_on_map(pair_map: PairSectorMap, params: dict, ths, thi, sides=None):
-    """_model_probs with the pair-sector map already evaluated at the phases:
-    the pair distribution, the fixed map, the detection binomials and the
-    POVM slices. No engine and no density operator is built. sides, if
-    given, is _detection_sides at params' detection efficiencies."""
+def _probs_and_derivatives(pair_map: PairSectorMap, params: dict, free, ths, thi, sides=None):
+    """Outcome probabilities P (phases, n_j, n_k), clipped at 0, and their
+    derivatives (len(free), phases, n_j, n_k) in the free natural parameters.
+
+    P = left @ pair_map(q) @ right, with the pair-sector map already evaluated
+    at the phases and q = B(eta_p_s) diag((1 - z^2) z^(2n)) B(eta_p_i)^T the
+    pair distribution (pair_distribution); no engine and no density operator
+    is built. A derivative in z or eta_p is the map applied to that derivative
+    of q; one in eta_d swaps that arm's side for its derivative. sides, if
+    given, is _detection_sides at params' detection efficiencies.
+    """
     d = ths.shape[0]
-    q = pair_distribution(params["z"], params["eta_p_s"], params["eta_p_i"], d)
-    if sides is None:
-        sides = _detection_sides(params, ths, thi)
-    left, right = sides
-    return np.clip(left @ pair_map.apply(q) @ right, 0.0, None)
+    n = np.arange(d)
+    z = params["z"]
+    b_s = binomial_population_matrix(params["eta_p_s"], d)
+    b_i = binomial_population_matrix(params["eta_p_i"], d)
+    pairs = (1.0 - z * z) * z ** (2 * n)
+    left, right, d_left, d_right = _detection_sides(params, ths, thi) if sides is None else sides
+    pre = pair_map.apply((b_s * pairs) @ b_i.T)
+    derivatives = []
+    for name in free:
+        if name == "eta_d_s":
+            derivatives.append(d_left @ pre @ right)
+        elif name == "eta_d_i":
+            derivatives.append(left @ pre @ d_right)
+        else:
+            if name == "z":
+                # d/dz (1 - z^2) z^(2n); the n = 0 term has no z^(2n - 1) part
+                d_pairs = 2 * n * z ** np.maximum(2 * n - 1, 0) - (2 * n + 2) * z ** (2 * n + 1)
+                dq = (b_s * d_pairs) @ b_i.T
+            elif name == "eta_p_s":
+                dq = (_binomial_derivative(b_s) * pairs) @ b_i.T
+            else:
+                dq = (b_s * pairs) @ _binomial_derivative(b_i).T
+            derivatives.append(left @ pair_map.apply(dq) @ right)
+    probs = np.clip(left @ pre @ right, 0.0, None)
+    return probs, np.array(derivatives).reshape((len(free),) + probs.shape)
 
 
 def _default_exclusion_mask(n_j: int, n_k: int, include_single_photon: bool):
@@ -210,6 +261,129 @@ def _default_exclusion_mask(n_j: int, n_k: int, include_single_photon: bool):
         if n_j > 1:
             mask[1, 0] = False
     return mask
+
+
+class _FitObjective:
+    """The fit objective in frequency form, with its exact gradient and its
+    expected (Fisher) information in the free natural parameters.
+
+    The value is -sum_p w_p [sum_c f_pc log P_pc - log N_p] over the included
+    cells c, with f_pc the observed frequencies, w_p the phase's share of the
+    included counts and N_p = sum_c P_pc: the conditional multinomial
+    log-likelihood divided by the included count ll_scale. The information is
+    sum_p (w_p / N_p) [sum_c dP_pc dP_pc^T / P_pc - dN_p dN_p^T / N_p], the
+    expected information of the conditional multinomials over ll_scale.
+    Integer count scaling (x10, x100, ...) is exact in float64, and the
+    correctly rounded quotients (10c)/(10n) and c/n coincide bitwise, so all
+    three, and hence the fit, are bit-identical under uniform count rescaling.
+    """
+
+    def __init__(self, hist, povm_s, povm_i, cutoff, free, base, include_single_photon):
+        self.free = tuple(free)
+        self.ths, self.thi = _sliced_thetas(povm_s, povm_i, cutoff.dim)
+        nj, nk = self.ths.shape[1], self.thi.shape[1]
+        if hist.counts.shape[1] > nj or hist.counts.shape[2] > nk:
+            raise ConfigError("histogram outcomes exceed the POVMs' outcome counts")
+        counts = np.zeros((hist.phases.size, nj, nk))
+        counts[:, : hist.counts.shape[1], : hist.counts.shape[2]] = hist.counts
+        self.mask = _default_exclusion_mask(nj, nk, include_single_photon)
+        self.cmask = counts[:, self.mask]  # (phases, included cells)
+        n_inc = self.cmask.sum(axis=1)
+        self.ll_scale = float(max(n_inc.sum(), 1.0))
+        self.freq = self.cmask / np.maximum(n_inc[:, None], 1.0)
+        self.phase_w = n_inc / self.ll_scale
+        self.pair_map = pair_sector_map(cutoff.max_photons).at_phases(hist.phases)
+        # with both detection efficiencies fixed, every evaluation shares them
+        eta_d_free = bool({"eta_d_s", "eta_d_i"} & set(self.free))
+        self.sides = None if eta_d_free else _detection_sides(base, self.ths, self.thi)
+
+    def __call__(self, params: dict):
+        """(value, gradient, information, included-cell probabilities) at params."""
+        probs, d_probs = _probs_and_derivatives(
+            self.pair_map, params, self.free, self.ths, self.thi, self.sides
+        )
+        pm = probs[:, self.mask]
+        dpm = d_probs[:, :, self.mask]
+        w = self.phase_w
+        norm = np.maximum(pm.sum(axis=1), _LOG_FLOOR)
+        value = -float(
+            np.sum(w[:, None] * self.freq * np.log(np.maximum(pm, _LOG_FLOOR)))
+            - np.sum(w * np.log(norm))
+        )
+        # a cell at the log floor is constant in the objective
+        inv = np.divide(1.0, pm, out=np.zeros_like(pm), where=pm > _LOG_FLOOR)
+        per_norm = w / norm
+        d_norm = dpm.sum(axis=2)  # (free, phases)
+        grad = d_norm @ per_norm - np.einsum("kpc,pc->k", dpm, w[:, None] * self.freq * inv)
+        info = np.einsum("ipc,jpc->ij", dpm * (per_norm[:, None] * inv), dpm)
+        info -= (d_norm * (per_norm / norm)) @ d_norm.T
+        return value, grad, 0.5 * (info + info.T), pm
+
+
+def _solve_psd(h, rhs):
+    """Least-squares solution of h x = rhs for positive semidefinite h, after
+    scaling h to unit diagonal; directions h cannot resolve get no step."""
+    diag = np.diag(h)
+    s = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    return s * np.linalg.lstsq(s[:, None] * h * s, s * rhs, rcond=1e-12)[0]
+
+
+def _fisher_scoring(objective: _FitObjective, base: dict, t, maxiter: int):
+    """Damped Fisher scoring on the objective in logit coordinates t, from one
+    start. Returns (natural free parameters, objective there, nfev, nit,
+    converged); nit counts steps and nfev objective evaluations.
+
+    Each step solves h dt = -J g, with g and F the objective's gradient and
+    information in the natural parameters, J the logit map's Jacobian and
+    h = J F J. The step is then halved until it gains an Armijo fraction of
+    its predicted decrease -J g . dt. A start has converged once that
+    predicted decrease, or the one of the step the halving has shrunk to, is
+    below _PRED_TOL; it has not if maxiter steps run out.
+
+    At a boundary optimum (phi -> lo or hi, t -> -inf or +inf) J -> 0. Where
+    outcome cells vanish at the bound, J F J shrinks like J, as J g does, so
+    the step in that coordinate tends to one logit unit and the predicted
+    decrease falls by about e per step. Where none vanish, J F J shrinks like
+    J^2 and the scoring step grows without bound, as it does along a
+    direction the data barely determine yet. A step that leaves _STEP_CAP in
+    some coordinate is therefore damped coordinate by coordinate, with
+    |J g| / _STEP_CAP added to the diagonal of h: that takes such a
+    coordinate about _STEP_CAP and leaves the others near their scoring
+    step. The damped step is then capped.
+    """
+    free = objective.free
+    lo = np.array([_BOUNDS[name][0] for name in free])
+    hi = np.array([_BOUNDS[name][1] for name in free])
+
+    def evaluate(t):
+        phi, jac = _from_logit(t, lo, hi)
+        return phi, jac, objective({**base, **dict(zip(free, phi.tolist()))})
+
+    phi, jac, evaluation = evaluate(t)
+    nfev = 1
+    for nit in range(1, maxiter + 1):
+        value, grad, info, _ = evaluation
+        g = jac * grad
+        h = jac[:, None] * info * jac
+        step = _solve_psd(h, -g)
+        if np.max(np.abs(step)) > _STEP_CAP:
+            step = _solve_psd(h + np.diag(np.abs(g)) / _STEP_CAP, -g)
+            step *= min(1.0, _STEP_CAP / np.max(np.abs(step)))
+        pred = -float(g @ step)
+        alpha = 1.0
+        while True:
+            trial = evaluate(t + alpha * step)
+            nfev += 1
+            if trial[2][0] <= value - _ARMIJO * alpha * pred:
+                break
+            alpha *= 0.5
+            if alpha * pred <= _PRED_TOL:
+                return phi, evaluation, nfev, nit, True
+        t = t + alpha * step
+        phi, jac, evaluation = trial
+        if pred <= _PRED_TOL:
+            return phi, evaluation, nfev, nit, True
+    return phi, evaluation, nfev, maxiter, False
 
 
 def fit_model(
@@ -228,16 +402,36 @@ def fit_model(
     """Maximum-likelihood fit of (z, losses) to a joint-count histogram.
 
     The objective is the conditional multinomial likelihood over the included
-    outcome cells. The outcome probabilities are a fixed linear map of the pair
-    distribution at the histogram's phases (pair_sector_map), so each
-    evaluation costs a few small matrix products and builds no engine.
+    outcome cells (_FitObjective). The outcome probabilities are a fixed
+    linear map of the pair distribution at the histogram's phases
+    (pair_sector_map), so each evaluation, with its exact gradient and
+    expected information, costs a few small matrix products and builds no
+    engine. Each of n_starts random starts runs at most maxiter Fisher-scoring
+    steps (_fisher_scoring); the covariance is the inverse expected
+    information at the best start's optimum.
     Detector POVMs are taken as known (tomography-calibrated);
     freeing eta_d alongside eta_p is allowed but warned as weakly identifiable.
     """
-    # imported here, not at module level: it is most of a CLI start's import
-    # time, and only fit and bootstrap use it
-    from scipy import optimize
-
+    if n_starts < 1:
+        raise ConfigError(f"n_starts must be at least 1, got {n_starts} (field: starts)")
+    if not free:
+        raise ConfigError("no free parameter to fit (field: free)")
+    for name in free:
+        if name not in FREE_PARAM_NAMES:
+            raise ConfigError(f"unknown free parameter {name!r} (field: free)")
+    fixed = dict(fixed or {})
+    for name, value in fixed.items():
+        if name not in FREE_PARAM_NAMES:
+            raise ConfigError(f"unknown fixed parameter {name!r} (field: fixed)")
+        if name in free:
+            raise ConfigError(f"{name!r} is both free and fixed (field: fixed)")
+        lo, hi = _BOUNDS[name]
+        try:
+            fixed[name] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fixed {name} must be a number, got {value!r} (field: fixed)") from exc
+        if not lo <= fixed[name] <= hi:
+            raise ConfigError(f"fixed {name}={value!r} is outside [{lo}, {hi}] (field: fixed)")
     if hist.phases.size < 2:
         warnings.warn(
             "fewer than 2 phase settings: z and losses are not jointly identifiable",
@@ -245,13 +439,8 @@ def fit_model(
         )
     if hist.counts.sum() == 0:
         raise ConfigError("histogram contains no counts")
-    fixed = dict(fixed or {})
-    for name in free:
-        if name not in FREE_PARAM_NAMES:
-            raise ConfigError(f"unknown free parameter {name!r}")
     flags = []
-    eta_d_free = bool({"eta_d_s", "eta_d_i"} & set(free))
-    if eta_d_free:
+    if {"eta_d_s", "eta_d_i"} & set(free):
         warnings.warn(
             "freeing detection losses alongside preparation losses is weakly "
             "identifiable; covariance is flagged",
@@ -260,42 +449,7 @@ def fit_model(
         flags.append("weak-identifiability:eta_d-free")
     defaults = {"z": 0.05, "eta_p_s": 1.0, "eta_p_i": 1.0, "eta_d_s": 1.0, "eta_d_i": 1.0}
     base = {**defaults, **fixed}
-
-    ths, thi = _sliced_thetas(povm_s, povm_i, cutoff.dim)
-    nj, nk = ths.shape[1], thi.shape[1]
-    if hist.counts.shape[1] > nj or hist.counts.shape[2] > nk:
-        raise ConfigError("histogram outcomes exceed the POVMs' outcome counts")
-    counts = np.zeros((hist.phases.size, nj, nk))
-    counts[:, : hist.counts.shape[1], : hist.counts.shape[2]] = hist.counts
-    mask = _default_exclusion_mask(nj, nk, include_single_photon)
-    cmask = counts[:, mask]  # (phases, included cells)
-    n_inc = cmask.sum(axis=1)
-    # The search objective is built from per-phase frequencies and phase
-    # weights, not raw counts. Integer count scaling (x10, x100, ...) is exact
-    # in float64, and the correctly rounded quotients (10c)/(10n) and c/n
-    # coincide bitwise, so the optimizer trajectory -- hence the point
-    # estimate -- is bit-identical under uniform count rescaling.
-    ll_scale = float(max(n_inc.sum(), 1.0))
-    freq = cmask / np.maximum(n_inc[:, None], 1.0)
-    phase_w = n_inc / ll_scale
-    pair_map = pair_sector_map(cutoff.max_photons).at_phases(hist.phases)
-    # with both detection efficiencies fixed, every evaluation shares them
-    sides = None if eta_d_free else _detection_sides(base, ths, thi)
-
-    def neg_ll(params: dict) -> float:
-        pm = _probs_on_map(pair_map, params, ths, thi, sides)[:, mask]
-        norm = pm.sum(axis=1)
-        return -float(
-            np.sum(phase_w[:, None] * freq * np.log(np.maximum(pm, _LOG_FLOOR)))
-            - np.sum(phase_w * np.log(np.maximum(norm, _LOG_FLOOR)))
-        )
-
-    def neg_ll_from_vec(x):
-        params = dict(base)
-        for name, t in zip(free, x):
-            lo, hi = _BOUNDS[name]
-            params[name] = _expit(t, lo, hi)
-        return neg_ll(params)
+    objective = _FitObjective(hist, povm_s, povm_i, cutoff, free, base, include_single_photon)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -315,40 +469,30 @@ def fit_model(
     any_converged = False
     diagnostics = []
     for index, x0 in enumerate(starts):
-        res = optimize.minimize(
-            neg_ll_from_vec,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-10},
-        )
-        diagnostics.append({"nfev": int(res.nfev), "nit": int(res.nit)})
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best, best_start = res, index
-    if best is None:
-        raise NonConvergenceError("no optimizer start produced a result")
+        phi, evaluation, nfev, nit, converged = _fisher_scoring(objective, base, x0, maxiter)
+        diagnostics.append({"nfev": nfev, "nit": nit})
+        any_converged = any_converged or converged
+        if best is None or evaluation[0] < best[1][0]:
+            best, best_start = (phi, evaluation), index
     if not any_converged:
         flags.append("no-start-converged")
 
-    estimates = dict(base)
-    for name, t in zip(free, best.x):
-        lo, hi = _BOUNDS[name]
-        estimates[name] = _expit(t, lo, hi)
+    phi, (value, _, info, pm) = best
+    estimates = {**base, **dict(zip(free, phi.tolist()))}
     if estimates["z"] < 1e-6:
         flags.append("z-at-boundary")
         warnings.warn("fitted z is at the lower boundary", RuntimeWarning)
 
-    cov, cov_flags = _observed_information_covariance(
-        estimates, free, base, lambda params: ll_scale * neg_ll(params)
-    )
-    flags.extend(cov_flags)
+    info = objective.ll_scale * info
+    eig = np.linalg.eigvalsh(info)
+    if eig.min() <= 0 or eig.max() / max(eig.min(), 1e-300) > 1e12:
+        flags.append("covariance-flagged:ill-conditioned-information")
+        warnings.warn("expected information is ill-conditioned; covariance flagged", RuntimeWarning)
+    cov = np.linalg.pinv(info)
     stderr = {
         name: float(math.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(free)
     }
-    ll_hat = -float(best.fun) * ll_scale
-    chi2, dof = _pearson_gof(
-        _probs_on_map(pair_map, estimates, ths, thi, sides)[:, mask], cmask, len(free)
-    )
+    chi2, dof = _pearson_gof(pm, objective.cmask, len(free))
     z_hat = estimates["z"]
     return FitResult(
         estimates=estimates,
@@ -356,7 +500,7 @@ def fit_model(
         covariance=cov,
         stderr=stderr,
         n_bar_hat=2.0 * z_hat**2 / (1.0 - z_hat**2),
-        log_likelihood=ll_hat,
+        log_likelihood=-value * objective.ll_scale,
         gof_chi2=chi2,
         gof_dof=dof,
         converged=any_converged,
@@ -364,49 +508,6 @@ def fit_model(
         starts=diagnostics,
         best_start=best_start,
     )
-
-
-def _observed_information_covariance(estimates, free, base, neg_ll_natural):
-    """Finite-difference Hessian of the negative log-likelihood at the optimum."""
-    k = len(free)
-    x = np.array([estimates[name] for name in free])
-    h = np.maximum(1e-4 * np.maximum(np.abs(x), 1e-2), 1e-6)
-    # keep steps inside the parameter bounds
-    for i, name in enumerate(free):
-        lo, hi = _BOUNDS[name]
-        h[i] = min(h[i], 0.49 * max(x[i] - lo, 1e-9), 0.49 * max(hi - x[i], 1e-9))
-
-    def f(v):
-        params = dict(base)
-        for name, val in zip(free, v):
-            lo, hi = _BOUNDS[name]
-            # boundary estimates leave less than the step floor of headroom;
-            # clipping keeps the evaluation inside the parameter domain (the
-            # resulting one-sided curvature is flagged as ill-conditioned)
-            params[name] = min(max(val, lo), hi)
-        return neg_ll_natural(params)
-
-    f0 = f(x)
-    H = np.empty((k, k))
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        fpp = f(x + ei)
-        fmm = f(x - ei)
-        H[i, i] = (fpp - 2 * f0 + fmm) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4 * h[i] * h[j])
-    flags = []
-    eig = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if eig.min() <= 0 or eig.max() / max(eig.min(), 1e-300) > 1e12:
-        flags.append("covariance-flagged:ill-conditioned-information")
-        warnings.warn("observed information is ill-conditioned; covariance flagged", RuntimeWarning)
-    cov = np.linalg.pinv(0.5 * (H + H.T))
-    return cov, flags
 
 
 def _pearson_gof(pm, cm, n_free: int):
@@ -466,6 +567,9 @@ def bootstrap_ci(
 
 def snl_with_uncertainty(fit: FitResult, level: float = 0.95) -> tuple:
     """Delta-method interval for the SNL = n_bar(z_hat); clamped at 0."""
+    # imported here, not at module level, to keep scipy out of a CLI start
+    from scipy import special
+
     if fit.covariance is None or "z" not in fit.free_names:
         raise ConfigError("fit result carries no z covariance")
     i = fit.free_names.index("z")

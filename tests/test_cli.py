@@ -266,6 +266,28 @@ class TestFit:
         bad.write_text("phase_rad,j,k,count\n0.0,0,0,5\n")
         assert run("fit", bad, "--cutoff", 3) == 2
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("fit", "--fixed", "{bad"), "fixed"),
+            (("fit", "--fixed", "[1]"), "fixed"),
+            (("fit", "--fixed", '{"bogus": 1}'), "fixed"),
+            (("fit", "--fixed", '{"eta_d_s": 1.5}'), "fixed"),
+            (("fit", "--fixed", '{"eta_d_s": "high"}'), "fixed"),
+            (("fit", "--free", "z,eta_d_s", "--fixed", '{"eta_d_s": 0.5}'), "fixed"),
+            (("fit", "--starts", 0), "starts"),
+            (("bootstrap", "--starts", 0, "--resamples", 100, "--seed", 7), "starts"),
+        ],
+    )
+    def test_bad_fixed_or_starts_exits_config(self, tmp_path, capsys, argv, field):
+        counts = tmp_path / "counts.csv"
+        assert run("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 2,
+                   "--trials", 1000, "--seed", 3, "--out", counts) == 0
+        out = tmp_path / "out"
+        assert run(argv[0], counts, "--cutoff", 3, *argv[1:], "--out", out) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _loaded_after_cli_import(module):
     """'True' or 'False': whether a fresh interpreter has module loaded after
@@ -284,6 +306,12 @@ def _loaded_after_cli_import(module):
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about half a second of every CLI start
     assert _loaded_after_cli_import("scipy.stats") == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special alone more than doubles the time a CLI start spends
+    # importing; only tomography and the SNL interval need it
+    assert _loaded_after_cli_import("scipy") == "False"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
