@@ -264,7 +264,7 @@ def cmd_tomography(args):
         f"wrote {args.out}: {povm.theta.shape[0]}x{povm.theta.shape[1]} theta, "
         f"iterations={diag.iterations} converged={diag.converged} "
         f"loglik={diag.log_likelihood!r} cond(C)={diag.cond_C:.3e} "
-        f"ll_gain={diag.ll_gain!r} grad_norm={diag.grad_norm!r}"
+        f"ll_gain={diag.ll_gain!r} grad_norm={diag.grad_norm!r} start={diag.start}"
     )
     if not diag.converged:
         return EXIT_NONCONVERGENCE

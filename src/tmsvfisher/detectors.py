@@ -203,6 +203,7 @@ class TomographyDiagnostics:
     grad_norm: float
     cond_C: float
     ll_trace: np.ndarray
+    start: str  # "least-squares", "uniform" or "given": where the EM run began
 
 
 def simulate_response(
@@ -267,7 +268,8 @@ def _em_fixed_point(counts, C, theta0, tol, max_iter):
     Each outer iteration takes two multiplicative EM steps, extrapolates along
     the implied direction (Varadhan-Roland step length), projects back onto
     the per-row simplex, and falls back to the plain double step whenever the
-    extrapolation would lower the log-likelihood -- so the recorded trace is
+    extrapolation would lower the log-likelihood. An iteration that would still
+    lower it keeps the current iterate and stops as converged, so the trace is
     non-decreasing. Returns (theta, ll_trace, n_iter, converged).
     """
     counts = np.ascontiguousarray(counts, dtype=np.float64)
@@ -284,8 +286,7 @@ def _em_fixed_point(counts, C, theta0, tol, max_iter):
         v = (t2 - t1) - r
         vnorm = np.linalg.norm(v)
         if vnorm == 0.0:
-            theta = t2
-            ll = _em_loglik(counts, C, theta)
+            nxt, ll = t2, _em_loglik(counts, C, t2)
         else:
             alpha = min(-np.linalg.norm(r) / vnorm, -1.0)
             cand = _project_simplex_rows(theta - 2.0 * alpha * r + alpha * alpha * v)
@@ -293,9 +294,14 @@ def _em_fixed_point(counts, C, theta0, tol, max_iter):
             cand = _em_step(counts, C, cand)
             ll_cand = _em_loglik(counts, C, cand)
             ll_t2 = _em_loglik(counts, C, t2)
-            theta, ll = (cand, ll_cand) if ll_cand >= ll_t2 else (t2, ll_t2)
-        ll_trace[it] = ll
+            nxt, ll = (cand, ll_cand) if ll_cand >= ll_t2 else (t2, ll_t2)
         n_iter = it + 1
+        if ll < ll_prev:
+            ll_trace[it] = ll_prev
+            converged = True
+            break
+        theta = nxt
+        ll_trace[it] = ll
         if ll - ll_prev < tol:
             converged = True
             break
@@ -314,9 +320,10 @@ def tomography_mle(
 ) -> tuple[DetectorPovm, TomographyDiagnostics]:
     """Maximum-likelihood POVM reconstruction from R = C Theta.
 
-    EM-style multiplicative fixed point with per-k renormalization: preserves
-    nonnegativity and completeness and increases the multinomial log-likelihood
-    monotonically. Stops when the per-iteration gain drops below tol.
+    One EM run (multiplicative, per-k renormalized: nonnegative, complete and
+    monotone in the multinomial log-likelihood) from theta0, else from the
+    least-squares POVM on noiseless data and the uniform POVM otherwise
+    (diagnostics.start). Stops when the per-iteration gain drops below tol.
     """
     C = np.asarray(C, dtype=float)
     M, K = C.shape
@@ -335,26 +342,24 @@ def tomography_mle(
         warnings.warn(f"rank-deficient probe matrix, cond={cond:.3e}", RuntimeWarning)
 
     counts = response.counts
+    start = "given"
     if theta0 is None:
-        # Two starts, keep the higher-likelihood run. The least-squares start
-        # (every POVM row sums to 1, so the row-stochastic response obeys
-        # R = (C / rowsum(C)) Theta) lands on the exact solution for noiseless
-        # data, but on noisy data its floored entries can pin the
-        # multiplicative updates near zero far from the optimum; the uniform
-        # start has no such locked entries.
+        # Every POVM row sums to 1, so the row-stochastic response obeys
+        # R = (C / rowsum(C)) Theta and least squares is exact on noiseless
+        # data. Rounding counts to integers moves R by at most 1/shots, which
+        # least squares amplifies at most cond(C)-fold; a more negative entry
+        # means noise, where floored entries would pin the multiplicative
+        # updates near zero far from the optimum: start uniform instead.
         Cn = C / np.maximum(C.sum(axis=1, keepdims=True), _WARM_FLOOR)
         ls = np.linalg.lstsq(Cn, response.R, rcond=None)[0]
-        warm = np.maximum(ls, 1e-12)
-        warm /= warm.sum(axis=1, keepdims=True)
-        starts = [warm, np.full((K, N), 1.0 / N)]
-    else:
-        starts = [np.asarray(theta0, dtype=float)]
-    best = None
-    for start in starts:
-        run = _em_fixed_point(counts, C, start, tol, max_iter)
-        if best is None or run[1][-1] > best[1][-1]:
-            best = run
-    theta, ll_trace, n_iter, converged = best
+        if -ls.min() <= cond / response.shots_per_probe:
+            start = "least-squares"
+            theta0 = np.maximum(ls, 1e-12)
+            theta0 /= theta0.sum(axis=1, keepdims=True)
+        else:
+            start = "uniform"
+            theta0 = np.full((K, N), 1.0 / N)
+    theta, ll_trace, n_iter, converged = _em_fixed_point(counts, C, theta0, tol, max_iter)
     if not converged:
         warnings.warn(
             f"tomography MLE hit max_iter={max_iter} before tolerance", RuntimeWarning
@@ -372,6 +377,7 @@ def tomography_mle(
         grad_norm=float(np.linalg.norm(kkt)),
         cond_C=cond,
         ll_trace=ll_trace,
+        start=start,
     )
     theta = np.clip(theta, 0.0, 1.0)
     theta /= theta.sum(axis=1, keepdims=True)

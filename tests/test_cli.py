@@ -146,7 +146,7 @@ class TestSimulateCounts:
 
 
 class TestTomography:
-    def test_binomial_round_trip(self, tmp_path):
+    def test_binomial_round_trip(self, tmp_path, capsys):
         truth = efficiency_povm(0.9, 5, 5)
         probe_path = tmp_path / "probes.csv"
         _probe_csv(probe_path, truth)
@@ -154,6 +154,8 @@ class TestTomography:
         assert run("tomography", probe_path, "--kmax", 5, "--out", out) == 0
         got = np.asarray(json.loads(out.read_text())["theta"])
         assert np.max(np.abs(got - truth.theta)) < 1e-6
+        # 10^9 shots rounded to integers are noiseless to the start rule
+        assert capsys.readouterr().out.split()[-1] == "start=least-squares"
 
     def test_ideal_pnr_near_identity(self, tmp_path):
         truth = ideal_pnr_povm(4, 4)
@@ -215,6 +217,7 @@ class TestTomography:
         assert float(fields["grad_norm"]) == diag.grad_norm
         assert 0.0 <= diag.ll_gain < 1e-10
         assert fields["loglik"] == repr(diag.log_likelihood)
+        assert line.split()[-1] == f"start={diag.start}" == "start=uniform"
 
     def test_too_few_probes_exits_identifiability(self, tmp_path):
         truth = efficiency_povm(0.9, 5, 5)

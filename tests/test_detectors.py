@@ -140,15 +140,63 @@ class TestTomography:
         povm, diag = tomography_mle(resp, C)
         assert np.max(np.abs(povm.theta - truth.theta)) < 1e-6
         assert diag.converged
+        assert diag.start == "least-squares"
 
     def test_noisy_binomial_recovery(self):
+        # criterion 6's noisy draw: the run starts from the uniform POVM and
+        # is the run an explicit uniform theta0 gives, byte for byte
         truth = efficiency_povm(0.9, 9, 9)
         probes = ProbeSet(dense_probe_ladder(9), 10**6)
         rng = np.random.default_rng(7)
         resp = simulate_response(truth, probes, rng)
         C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
-        povm, _ = tomography_mle(resp, C, tol=1e-9, max_iter=300_000)
+        povm, diag = tomography_mle(resp, C, tol=1e-9, max_iter=300_000)
         assert np.max(np.abs(povm.theta - truth.theta)) < 1e-2
+        assert diag.start == "uniform"
+        uniform = np.full(truth.theta.shape, 1.0 / truth.n_outcomes)
+        ref, ref_diag = tomography_mle(resp, C, tol=1e-9, max_iter=300_000, theta0=uniform)
+        assert ref_diag.start == "given"
+        assert povm.theta.tobytes() == ref.theta.tobytes()
+        assert diag.ll_trace.tobytes() == ref_diag.ll_trace.tobytes()
+        assert diag.grad_norm == ref_diag.grad_norm
+
+    def test_given_theta0_is_the_start(self, monkeypatch):
+        truth = efficiency_povm(0.8, 4, 4)
+        probes = ProbeSet(default_probe_ladder(10), 10**5)
+        resp = simulate_response(truth, probes)
+        C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
+        theta0 = np.random.default_rng(2).random((5, 5))
+        theta0 /= theta0.sum(axis=1, keepdims=True)
+        before = theta0.copy()
+        seen = []
+        original = detectors._em_fixed_point
+
+        def recording(counts, C, start, tol, max_iter):
+            seen.append(np.array(start))
+            return original(counts, C, start, tol, max_iter)
+
+        monkeypatch.setattr(detectors, "_em_fixed_point", recording)
+        _, diag = tomography_mle(resp, C, theta0=theta0)
+        assert diag.start == "given"
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], before)
+        assert np.array_equal(theta0, before)
+
+    def test_rank_deficient_allowed_warns_and_returns_complete_povm(self):
+        # three probes cannot resolve four photon-number rows
+        truth = efficiency_povm(0.8, 1, 3)
+        probes = ProbeSet((0.5, 1.0, 2.0), 10**4)
+        resp = simulate_response(truth, probes)
+        C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
+        assert np.linalg.matrix_rank(C) < truth.k_max + 1
+        with pytest.raises(IdentifiabilityError):
+            tomography_mle(resp, C)
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            povm, diag = tomography_mle(resp, C, allow_rank_deficient=True)
+        assert diag.converged
+        assert povm.theta.shape == truth.theta.shape
+        assert povm.theta.min() >= 0.0
+        assert np.max(np.abs(povm.theta.sum(axis=1) - 1.0)) < 1e-12
 
     def test_log_likelihood_monotone(self):
         truth = efficiency_povm(0.8, 6, 6)
@@ -157,6 +205,34 @@ class TestTomography:
         C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
         _, diag = tomography_mle(resp, C, tol=1e-8, max_iter=2000)
         assert np.all(np.diff(diag.ll_trace) >= -1e-9)
+
+    @pytest.mark.parametrize(
+        "truth, probes, seed, start",
+        [
+            (efficiency_povm(0.9, 9, 9), ProbeSet(dense_probe_ladder(9), 10**6), None,
+             "least-squares"),
+            (ideal_pnr_povm(9, 9), ProbeSet(default_probe_ladder(), 10**6), None, "uniform"),
+            (efficiency_povm(0.9, 3, 3), ProbeSet(tuple(np.linspace(0.25, 12, 24)), 10**5), 3,
+             "uniform"),
+        ],
+        ids=["noiseless-binomial", "noiseless-pnr", "noisy-kmax3"],
+    )
+    def test_trace_non_decreasing_exactly(self, truth, probes, seed, start):
+        # from these starts the EM reaches an iterate whose log-likelihood is
+        # a rounding-level step (-2.4e-7, -3.7e-9, -9.3e-10) below the
+        # current one; the run must keep the current iterate and stop
+        rng = None if seed is None else np.random.default_rng(seed)
+        resp = simulate_response(truth, probes, rng)
+        C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
+        if start == "uniform":
+            theta0 = np.full(truth.theta.shape, 1.0 / truth.n_outcomes)
+            _, diag = tomography_mle(resp, C, theta0=theta0)
+        else:
+            _, diag = tomography_mle(resp, C)
+            assert diag.start == start
+        assert diag.converged
+        assert np.all(np.diff(diag.ll_trace) >= 0.0)
+        assert diag.ll_gain >= 0.0
 
     def test_error_decreases_with_shots(self):
         truth = efficiency_povm(0.9, 6, 6)
