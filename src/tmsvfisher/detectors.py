@@ -389,14 +389,18 @@ def tomography_mle(
 # ---------------------------------------------------------------------------
 
 def write_probe_csv(path, alpha_sq, counts):
-    """Long-format probe data: columns alpha_sq, outcome, count."""
+    """Long-format probe data: columns alpha_sq, outcome, count.
+
+    Counts are rounded to the nearest integer, so R * shots that lands an ulp
+    below an integer is written as that integer.
+    """
     counts = np.asarray(counts)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha_sq", "outcome", "count"])
         for m, a in enumerate(alpha_sq):
             for n in range(counts.shape[1]):
-                w.writerow([repr(float(a)), n, int(counts[m, n])])
+                w.writerow([repr(float(a)), n, int(np.rint(counts[m, n]))])
 
 
 def read_probe_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,10 @@ PHASE_BLOCK = 256
 # generated by (n_s - n_i)/2.  The single-arm generator n_s would add the
 # information carried by the (unmeasured) common phase and double the bound.
 QFI_GENERATOR = "difference"
+# Phases whose mirror keys min(t, 2 pi - t) differ by at most this share one
+# QFI evaluation: a few ulps of 2 pi, the rounding np.linspace leaves between
+# theta_k and 2 pi - theta_{n-k}.
+MIRROR_TOL = 4 * np.spacing(2.0 * math.pi)
 
 
 @dataclass
@@ -244,6 +248,24 @@ def default_phase_grid(n_points: int = 2048) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
 
 
+def _mirror_classes(phase_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group a grid's phases into classes that theta -> -theta (mod 2 pi) maps
+    onto themselves.
+
+    Returns (first, label): first[c] is the lowest index of class c and
+    label[i] the class of phase i. Keys that sort within MIRROR_TOL of their
+    neighbour share a class, because np.linspace mirrors only to within an ulp.
+    """
+    t = np.mod(phase_grid, 2.0 * math.pi)
+    key = np.minimum(t, 2.0 * math.pi - t)
+    order = np.argsort(key, kind="stable")
+    label = np.empty(key.size, dtype=int)
+    label[order] = np.concatenate(([0], np.cumsum(np.diff(key[order]) > MIRROR_TOL)))
+    first = np.full(label[order[-1]] + 1, key.size)
+    np.minimum.at(first, label, np.arange(key.size))
+    return first, label
+
+
 def sweep_fisher(
     config: InterferometerConfig,
     phase_grid: np.ndarray,
@@ -254,9 +276,14 @@ def sweep_fisher(
     """Classical (and optionally quantum) Fisher information across a phase grid.
 
     The config's own phase field is ignored; the grid drives the sweep. The CFI
-    comes from the outcome phase series. The lossy QFI comes from the engine's
-    series of sigma4's two photon-number-parity blocks, evaluated one phase at
-    a time, with one eigendecomposition per block per phase.
+    comes from the outcome phase series at every phase. The lossy QFI comes
+    from the engine's series of sigma4's two photon-number-parity blocks, with
+    one eigendecomposition per block per evaluated phase.
+
+    The QFI is evaluated once per mirror class of the grid and copied to the
+    class's other phases: the model is symmetric under theta -> -theta, so
+    phases whose keys min(t, 2 pi - t), t = theta mod 2 pi, agree to within
+    MIRROR_TOL share one value, computed at the class's lowest-index phase.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
     if phase_grid.size == 0:
@@ -267,17 +294,19 @@ def sweep_fisher(
     _check_derivative_sum(dsum)
     qfi = None
     if compute_qfi:
-        qfi = np.empty(phase_grid.size)
-        for idx, th in enumerate(phase_grid):
+        first, label = _mirror_classes(phase_grid)
+        qfi_class = np.empty(first.size)
+        for cls, th in enumerate(phase_grid[first]):
             if eng.is_pure:
-                qfi[idx] = quantum_fisher_pure(
+                qfi_class[cls] = quantum_fisher_pure(
                     eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR)
                 )
             else:
-                qfi[idx] = sum(
+                qfi_class[cls] = sum(
                     quantum_fisher_mixed(*block.at(th))
                     for block in eng.parity_block_series(QFI_GENERATOR)
                 )
+        qfi = qfi_class[label]
     meta = {
         "z": config.squeezing.z,
         "n_bar": config.squeezing.mean_photons,

@@ -167,8 +167,12 @@ def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
         block = _bs_block(eta, N)
         sub = block[np.ix_(ks, ks)]
         if len(ks) < N + 1:
-            u, _, vh = np.linalg.svd(sub)
-            sub = u @ vh
+            # sub[a, b] is i^(a+b) times a real number. Take the polar factor
+            # of that real matrix: a singular block's factor is not unique,
+            # and only a real choice keeps the theta -> -theta symmetry.
+            ph = np.array([1, 1j, -1, -1j])[ks % 4]
+            u, _, vh = np.linalg.svd((ph.conj()[:, None] * sub * ph.conj()[None, :]).real)
+            sub = ph[:, None] * (u @ vh) * ph[None, :]
         U[np.ix_(idx, idx)] = sub
     return U
 

@@ -382,6 +382,20 @@ class TestProbeCsv:
         assert np.allclose(a2, alphas)
         assert np.array_equal(c2, counts)
 
+    def test_raw_simulated_counts_round_trip(self, tmp_path):
+        # R * shots gives values such as 4999.999999999999; the writer must
+        # round them, not truncate, so every probe keeps all of its shots
+        probes = ProbeSet(dense_probe_ladder(5), 10**5)
+        resp = simulate_response(efficiency_povm(0.9, 5, 5), probes, np.random.default_rng(1))
+        assert np.any(resp.counts != np.rint(resp.counts))
+        path = tmp_path / "probes.csv"
+        write_probe_csv(path, probes.alpha_sq, resp.counts)
+        alphas, counts = read_probe_csv(path)
+        assert np.array_equal(alphas, sorted(probes.alpha_sq))
+        assert np.array_equal(counts.sum(axis=1), np.full(len(alphas), 10**5))
+        order = np.argsort(probes.alpha_sq, kind="stable")
+        assert np.array_equal(counts, np.rint(resp.counts)[order])
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

@@ -396,6 +396,87 @@ class TestParityBlockSeries:
                     assert np.all(rep.cfi <= rep.qfi * (1 + 1e-10))
 
 
+class TestMirrorSymmetry:
+    """The model is symmetric under theta -> -theta, so a sweep evaluates the
+    QFI once per mirror class of its grid and copies it to the class."""
+
+    LOSSES = {
+        "lossless": (1.0, 1.0, 1.0, 1.0),
+        "prep": (0.9, 0.7, 1.0, 1.0),
+        "detection": (1.0, 1.0, 0.85, 0.6),
+        "both": (0.9, 0.8, 0.85, 0.95),
+    }
+
+    @staticmethod
+    def _dense_qfi(eng, th):
+        # oracle: the dense per-phase state, pure when nothing is lost
+        if eng.is_pure:
+            return quantum_fisher_pure(eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR))
+        return quantum_fisher_mixed(eng.sigma4(th, QFI_GENERATOR), eng.dsigma4(th, QFI_GENERATOR))
+
+    @staticmethod
+    def _cfi(series, th):
+        p, dp = series.values(th).ravel(), series.derivatives(th).ravel()
+        live = p > P_FLOOR
+        return float(np.sum(dp[live] ** 2 / p[live]))
+
+    def test_qfi_and_cfi_even_in_phase_on_random_configs(self):
+        rng = np.random.default_rng(1111)
+        for max_photons in range(3, 9):
+            pnr = _pnr(max_photons)
+            povms = (pnr, click_povm_from(pnr), efficiency_povm(0.8, max_photons, max_photons))
+            for loss in self.LOSSES.values():
+                etas = np.where(np.array(loss) < 1.0, rng.uniform(0.3, 0.99, 4), 1.0)
+                eng = InterferometerEngine(
+                    SqueezingParams(rng.uniform(0.05, 0.6)), LossModel(*etas), FockCutoff(max_photons)
+                )
+                thetas = rng.uniform(0.0, 2 * math.pi, 3)
+                qp = np.array([self._dense_qfi(eng, th) for th in thetas])
+                qm = np.array([self._dense_qfi(eng, -th) for th in thetas])
+                assert np.max(np.abs(qp - qm)) <= 1e-10 * np.max(qp)
+                for povm_s, povm_i in zip(povms, povms[1:] + povms[:1]):
+                    series = outcome_series(eng, povm_s, povm_i)
+                    cp = np.array([self._cfi(series, th) for th in thetas])
+                    cm = np.array([self._cfi(series, -th) for th in thetas])
+                    assert np.max(np.abs(cp - cm)) <= 1e-10 * np.max(cp)
+
+    @pytest.mark.parametrize("loss", ["lossless", "both"])
+    def test_mixed_mirror_grid_matches_dense_loop(self, loss):
+        rng = np.random.default_rng(1112)
+        base = rng.uniform(0.0, 2 * math.pi, 3)
+        mirrors = np.stack([base, -base, 2 * math.pi - base, base + 2 * math.pi])
+        grid = np.concatenate([mirrors.ravel(), [math.pi, 0.0]])
+        perm = rng.permutation(grid.size)
+        cfg = _config(0.35, LossModel(*self.LOSSES[loss]), max_photons=7)
+        rep = sweep_fisher(cfg, grid[perm], _pnr(7), _pnr(7))
+        eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
+        dense = np.array([self._dense_qfi(eng, th) for th in grid[perm]])
+        assert np.max(np.abs(rep.qfi - dense)) <= 1e-10 * np.max(dense)
+        qfi = np.empty(grid.size)
+        qfi[perm] = rep.qfi
+        classes = qfi[: mirrors.size].reshape(mirrors.shape)
+        assert np.array_equal(classes, np.broadcast_to(classes[0], classes.shape))
+
+    def test_one_qfi_evaluation_per_mirror_class(self, monkeypatch):
+        calls = []
+        real = metrology.quantum_fisher_mixed
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(metrology, "quantum_fisher_mixed", counted)
+        cfg = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95), max_photons=5)
+        pnr = _pnr(5)
+        for n in (2, 8, 32, 64):
+            calls.clear()
+            sweep_fisher(cfg, default_phase_grid(n), pnr, pnr)
+            assert len(calls) == 2 * (n // 2 + 1)  # one call per parity block
+        calls.clear()
+        sweep_fisher(cfg, np.random.default_rng(1113).uniform(0.0, 2 * math.pi, 16), pnr, pnr)
+        assert len(calls) == 2 * 16
+
+
 class TestSubSnlFraction:
     def test_all_below_gives_zero(self):
         grid = default_phase_grid(1024)

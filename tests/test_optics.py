@@ -20,7 +20,7 @@ from tmsvfisher import (
     phase_shifter,
     tmsv_state,
 )
-from tmsvfisher.fock import mode_number_operator, partial_trace, tensor
+from tmsvfisher.fock import mode_number_operator, partial_trace, signal_photon_numbers, tensor
 from tmsvfisher import optics
 from tmsvfisher.optics import InterferometerEngine, loss_kraus_operators, tmsv_tail_bound
 
@@ -115,6 +115,19 @@ class TestBeamSplitter:
         tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
         off_block = U[tot[:, None] != tot[None, :]]
         assert np.max(np.abs(off_block)) == 0.0
+
+    def test_real_after_rephasing_by_i_to_the_n_s(self):
+        # U[j, k] = i^(n_s,j + n_s,k) times a real number, on the complete
+        # blocks and the truncated ones alike; the polar factor of a singular
+        # truncated block (odd cutoffs) would otherwise be an arbitrary
+        # complex choice that breaks the theta -> -theta symmetry
+        for max_photons in range(2, 11):
+            cutoff = FockCutoff(max_photons)
+            ph = np.array([1, 1j, -1, -1j])[signal_photon_numbers(cutoff) % 4]
+            for eta in (0.3, 0.5):
+                U = beam_splitter_unitary(eta, cutoff).matrix
+                R = ph.conj()[:, None] * U * ph.conj()[None, :]
+                assert np.max(np.abs(R.imag)) == 0.0
 
     def test_matches_expm_oracle_on_complete_blocks(self):
         # compare against scipy expm at a larger internal cutoff so the
