@@ -4,103 +4,49 @@ analysis of phase estimation against the shot-noise limit."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    CutoffMismatchError,
-    IdentifiabilityError,
-    NonConvergenceError,
-    TmsvFisherError,
-)
-from .fock import FockCutoff, ModeOperator, TwoModeState
-from .optics import (
-    InterferometerConfig,
-    InterferometerEngine,
-    LossModel,
-    SqueezingParams,
-    analytic_phase_derivative,
-    beam_splitter_unitary,
-    evolve_pipeline,
-    loss_channel,
-    phase_shifter,
-    tmsv_state,
-)
+from .errors import ConfigError, IdentifiabilityError, NonConvergenceError
+from .fock import FockCutoff
+from .optics import InterferometerConfig, LossModel, SqueezingParams
 from .detectors import (
-    DetectorPovm,
     ProbeSet,
-    ResponseMatrix,
     click_povm_from,
     coherent_probe_matrix,
     efficiency_povm,
     ideal_pnr_povm,
-    joint_outcome_probabilities,
     tomography_mle,
 )
 from .metrology import (
-    FisherReport,
-    OutcomeDistribution,
-    classical_fisher,
     max_cfi_over_phase,
     pnr_click_ratio,
-    quantum_fisher,
     quantum_fisher_mixed,
     quantum_fisher_pure,
-    shot_noise_limit,
     sub_snl_fraction,
     sweep_fisher,
 )
-from .inference import (
-    CountHistogram,
-    FitResult,
-    bootstrap_ci,
-    fit_model,
-    simulate_counts,
-    snl_with_uncertainty,
-)
+from .inference import bootstrap_ci, fit_model, simulate_counts
 
 __all__ = [
     "__version__",
-    "TmsvFisherError",
     "ConfigError",
-    "CutoffMismatchError",
     "IdentifiabilityError",
     "NonConvergenceError",
     "FockCutoff",
-    "ModeOperator",
-    "TwoModeState",
     "SqueezingParams",
     "LossModel",
     "InterferometerConfig",
-    "InterferometerEngine",
-    "tmsv_state",
-    "beam_splitter_unitary",
-    "phase_shifter",
-    "loss_channel",
-    "evolve_pipeline",
-    "analytic_phase_derivative",
-    "DetectorPovm",
     "ProbeSet",
-    "ResponseMatrix",
     "ideal_pnr_povm",
     "efficiency_povm",
     "click_povm_from",
     "coherent_probe_matrix",
     "tomography_mle",
-    "joint_outcome_probabilities",
-    "OutcomeDistribution",
-    "FisherReport",
-    "classical_fisher",
-    "quantum_fisher",
     "quantum_fisher_pure",
     "quantum_fisher_mixed",
-    "shot_noise_limit",
     "sweep_fisher",
     "sub_snl_fraction",
     "max_cfi_over_phase",
     "pnr_click_ratio",
-    "CountHistogram",
-    "FitResult",
     "simulate_counts",
     "fit_model",
     "bootstrap_ci",
-    "snl_with_uncertainty",
 ]

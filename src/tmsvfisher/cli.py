@@ -35,9 +35,7 @@ from .inference import (
 from .metrology import (
     config_fingerprint,
     default_phase_grid,
-    max_cfi_over_phase,
     pnr_click_ratio,
-    shot_noise_limit,
     sub_snl_fraction,
     sweep_fisher,
 )
@@ -49,16 +47,33 @@ EXIT_IDENTIFIABILITY = 3
 EXIT_NONCONVERGENCE = 4
 
 
-def _parse_pair(text, name):
-    parts = [p for p in text.split(",") if p]
-    if len(parts) == 1:
-        parts = parts * 2
-    if len(parts) != 2:
-        raise ConfigError(f"{name} expects 'a,b' (or a single shared value), got {text!r}")
+def _parse_floats(text, name):
+    """Comma list of numbers; empty entries are skipped."""
     try:
-        return float(parts[0]), float(parts[1])
+        return [float(p) for p in text.split(",") if p]
     except ValueError as exc:
-        raise ConfigError(f"{name} values must be numeric: {text!r}") from exc
+        raise ConfigError(f"{name} values must be numeric: {text!r} (field: {name})") from exc
+
+
+def _parse_pair(text, name):
+    values = _parse_floats(text, name)
+    if len(values) == 1:
+        values = values * 2
+    if len(values) != 2:
+        raise ConfigError(f"{name} expects 'a,b' (or a single shared value), got {text!r}")
+    return values[0], values[1]
+
+
+def _check_output_dir(args):
+    """Fail before any work when the directory an output goes into is missing."""
+    for name in ("out", "out_prefix", "out_dir"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        directory = path if name == "out_dir" else os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            field = name.replace("_", "-")
+            raise ConfigError(f"output directory {directory!r} does not exist (field: {field})")
 
 
 def _load_config_file(path):
@@ -176,19 +191,19 @@ def cmd_loss_scan(args):
     cutoff = FockCutoff(int(opts.get("cutoff") or 10))
     n_phases = int(opts.get("phases") or 2048)
     n_max = int(opts.get("n_max") or cutoff.max_photons)
-    loss_grid = [float(x) for x in args.loss_grid.split(",") if x]
+    loss_grid = _parse_floats(args.loss_grid, "loss-grid")
     if not loss_grid:
         raise ConfigError("loss grid must be nonempty (field: loss-grid)")
     if args.loss_model:
-        parts = [p for p in args.loss_model.split(",") if p]
-        if len(parts) != 4:
+        etas = _parse_floats(args.loss_model, "loss-model")
+        if len(etas) != 4:
             raise ConfigError(
                 "loss-model expects 'eta_p_s,eta_p_i,eta_d_s,eta_d_i' (field: loss-model)"
             )
-        base_loss = LossModel(*(float(p) for p in parts))
+        base_loss = LossModel(*etas)
     else:
         base_loss = LossModel()
-    nbar_grid = [float(x) for x in args.nbar_grid.split(",") if x]
+    nbar_grid = _parse_floats(args.nbar_grid, "nbar-grid")
     pnr = ideal_pnr_povm(n_max, cutoff.max_photons)
     click = click_povm_from(pnr)
     meta = _provenance(opts)
@@ -473,6 +488,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dir(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IdentifiabilityError
-from .fock import TwoModeState
 from .optics import binomial_population_matrix
 
 COMPLETENESS_TOL = 1e-9
@@ -119,11 +118,6 @@ class ProbeSet:
             raise ConfigError("probe |alpha|^2 values must be >= 0")
         if self.shots_per_probe <= 0:
             raise ConfigError("shots_per_probe must be positive")
-
-
-def default_probe_ladder(n_points: int = 15, lo: float = 0.05, hi: float = 12.8) -> tuple:
-    """Geometric ladder of probe intensities used for synthetic tomography."""
-    return tuple(np.geomspace(lo, hi, n_points))
 
 
 def dense_probe_ladder(k_max: int) -> tuple:
@@ -422,23 +416,3 @@ def read_probe_csv(path) -> tuple[np.ndarray, np.ndarray]:
         counts[aidx[a], n] += c
     return np.asarray(alphas), counts
 
-
-# ---------------------------------------------------------------------------
-# Joint outcome probabilities
-# ---------------------------------------------------------------------------
-
-def joint_outcome_probabilities(
-    state: TwoModeState, povm_s: DetectorPovm, povm_i: DetectorPovm
-) -> np.ndarray:
-    """p(j, k) for joint diagonal POVMs on the two modes.
-
-    p = Theta_s^T pops Theta_i with pops the joint photon-number populations.
-    """
-    d = state.cutoff.dim
-    for povm, name in ((povm_s, "signal"), (povm_i, "idler")):
-        if povm.k_max + 1 < d:
-            raise ConfigError(
-                f"{name} POVM k_max={povm.k_max} smaller than state cutoff {d - 1}"
-            )
-    pops = state.populations()
-    return povm_s.theta[:d].T @ pops @ povm_i.theta[:d]

@@ -9,10 +9,6 @@ class ConfigError(TmsvFisherError, ValueError):
     """Invalid configuration or parameter value."""
 
 
-class CutoffMismatchError(ConfigError):
-    """Objects built on different Fock cutoffs were combined."""
-
-
 class IdentifiabilityError(TmsvFisherError, RuntimeError):
     """The data cannot constrain the requested parameters."""
 

@@ -1,19 +1,16 @@
-"""Truncated two-mode Fock-space substrate: states, operators, partial traces.
+"""Truncated two-mode Fock space: the per-mode cutoff and the index convention.
 
 Index convention (fixed package-wide): the joint basis is signal-major,
 joint index = n_s * d + n_i with d = max_photons + 1. A pure two-mode state
-is stored as a (d, d) complex amplitude tensor c[n_s, n_i]; its flattened
+is stored as a (d, d) complex amplitude array c[n_s, n_i]; its flattened
 C-order vector follows the same convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CutoffMismatchError
-
-HERMITICITY_TOL = 1e-10
-PSD_EIG_TOL = -1e-10
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -33,170 +30,6 @@ class FockCutoff:
     @property
     def joint_dim(self) -> int:
         return self.dim * self.dim
-
-
-def check_same_cutoff(a: FockCutoff, b: FockCutoff) -> None:
-    if a != b:
-        raise CutoffMismatchError(f"cutoff mismatch: {a} vs {b}")
-
-
-@dataclass(frozen=True)
-class ModeOperator:
-    """Dense operator on one mode (d x d) or the joint space (d^2 x d^2)."""
-
-    matrix: np.ndarray
-    kind: str  # "unitary" | "kraus" | "observable"
-    cutoff: FockCutoff
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        d = self.cutoff.dim
-        if m.shape not in ((d, d), (d * d, d * d)):
-            raise ConfigError(f"operator shape {m.shape} incompatible with cutoff dim {d}")
-        if self.kind == "unitary":
-            err = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if err > HERMITICITY_TOL:
-                raise ConfigError(f"unitary check failed: max|U^dag U - I| = {err:.3e}")
-
-    @property
-    def is_two_mode(self) -> bool:
-        return self.matrix.shape[0] == self.cutoff.joint_dim
-
-
-class TwoModeState:
-    """Two-mode state: pure (d, d) amplitude tensor or (d^2, d^2) density operator."""
-
-    def __init__(self, cutoff: FockCutoff, vector=None, rho=None, validate=True):
-        if (vector is None) == (rho is None):
-            raise ConfigError("provide exactly one of vector / rho")
-        self.cutoff = cutoff
-        d = cutoff.dim
-        if vector is not None:
-            v = np.asarray(vector, dtype=complex)
-            if v.shape != (d, d):
-                raise ConfigError(f"pure amplitude tensor must be ({d}, {d}), got {v.shape}")
-            if validate and v.conj().ravel() @ v.ravel() > 1.0 + 1e-9:
-                raise ConfigError("pure state norm exceeds 1")
-            self.vector = v
-            self.rho = None
-        else:
-            r = np.asarray(rho, dtype=complex)
-            if r.ndim != 2 or r.shape[0] != r.shape[1]:
-                raise ConfigError("density operator must be square")
-            if r.shape != (d * d, d * d):
-                raise ConfigError(f"density operator must be ({d*d}, {d*d}), got {r.shape}")
-            if validate:
-                validate_density(r)
-            self.vector = None
-            self.rho = r
-
-    @classmethod
-    def pure(cls, amplitudes, cutoff: FockCutoff, validate=True) -> "TwoModeState":
-        return cls(cutoff, vector=amplitudes, validate=validate)
-
-    @classmethod
-    def density(cls, rho, cutoff: FockCutoff, validate=True) -> "TwoModeState":
-        return cls(cutoff, rho=rho, validate=validate)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
-
-    def norm_squared(self) -> float:
-        if self.is_pure:
-            return float(np.real(self.vector.conj().ravel() @ self.vector.ravel()))
-        return float(np.real(np.trace(self.rho)))
-
-    def to_density_matrix(self) -> np.ndarray:
-        if self.is_pure:
-            v = self.vector.ravel()
-            return np.outer(v, v.conj())
-        return self.rho
-
-    def populations(self) -> np.ndarray:
-        """Joint photon-number populations <n_s, n_i|rho|n_s, n_i> as a (d, d) array."""
-        d = self.cutoff.dim
-        if self.is_pure:
-            return np.abs(self.vector) ** 2
-        return np.real(np.diag(self.rho)).reshape(d, d)
-
-
-def validate_density(rho: np.ndarray, herm_tol=HERMITICITY_TOL, eig_tol=PSD_EIG_TOL) -> None:
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ConfigError("density operator is not Hermitian")
-    lam = np.linalg.eigvalsh(rho)
-    if lam.min() < eig_tol:
-        raise ConfigError(f"density operator not PSD: min eigenvalue {lam.min():.3e}")
-    tr = float(np.real(np.trace(rho)))
-    if tr > 1.0 + 1e-9:
-        raise ConfigError(f"density operator trace {tr} exceeds 1")
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two one-mode objects (vectors or operators), signal-major.
-
-    Vectors (d,) x (d,) give a (d, d) amplitude tensor c[n_s, n_i]; operators
-    (d, d) x (d, d) give the (d^2, d^2) joint operator.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise CutoffMismatchError(f"cutoff mismatch: shapes {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        return np.outer(a, b)
-    if a.ndim == 2:
-        return np.kron(a, b)
-    raise ConfigError("tensor expects one-mode vectors or square operators")
-
-
-def partial_trace(rho: np.ndarray, cutoff: FockCutoff, traced: str) -> np.ndarray:
-    """Trace out one mode of a joint density operator; returns the (d, d) marginal."""
-    d = cutoff.dim
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise ConfigError(f"expected ({d*d}, {d*d}) density operator, got {rho.shape}")
-    r = rho.reshape(d, d, d, d)  # (s, i, s', i')
-    if traced == "i":
-        return np.einsum("aibi->ab", r)
-    if traced == "s":
-        return np.einsum("aiaj->ij", r)
-    raise ConfigError(f"traced mode must be 's' or 'i', got {traced!r}")
-
-
-def expectation(state: TwoModeState, obs: np.ndarray, imag_tol=1e-10) -> float:
-    """Expectation value of a Hermitian joint-space observable."""
-    obs = np.asarray(obs, dtype=complex)
-    if np.max(np.abs(obs - obs.conj().T)) > HERMITICITY_TOL:
-        raise ConfigError("observable is not Hermitian")
-    if state.is_pure:
-        v = state.vector.ravel()
-        val = v.conj() @ obs @ v
-    else:
-        val = np.trace(state.rho @ obs)
-    if abs(val.imag) > imag_tol:
-        raise ConfigError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def number_operator(cutoff: FockCutoff) -> np.ndarray:
-    """One-mode photon-number operator diag(0..max_photons)."""
-    return np.diag(np.arange(cutoff.dim, dtype=float)).astype(complex)
-
-
-def mode_number_operator(cutoff: FockCutoff, mode: str) -> np.ndarray:
-    """Photon-number operator of one mode embedded in the joint space."""
-    n = number_operator(cutoff)
-    eye = np.eye(cutoff.dim, dtype=complex)
-    if mode == "s":
-        return np.kron(n, eye)
-    if mode == "i":
-        return np.kron(eye, n)
-    raise ConfigError(f"mode must be 's' or 'i', got {mode!r}")
-
-
-def total_number_operator(cutoff: FockCutoff) -> np.ndarray:
-    return mode_number_operator(cutoff, "s") + mode_number_operator(cutoff, "i")
 
 
 def signal_photon_numbers(cutoff: FockCutoff) -> np.ndarray:

@@ -182,12 +182,6 @@ _ARMIJO = 1e-4
 _PRED_TOL = 1e-13
 
 
-def _model_probs(params: dict, phases, ths, thi, cutoff: FockCutoff):
-    """Outcome probabilities (n_phases, n_j, n_k), clipped at 0, for natural parameters."""
-    pair_map = pair_sector_map(cutoff.max_photons).at_phases(phases)
-    return _probs_and_derivatives(pair_map, params, (), ths, thi)[0]
-
-
 def _binomial_derivative(B):
     """dB/d(eta) for B = binomial_population_matrix(eta, d), from
     dB[m, k] = k (B[m - 1, k - 1] - B[m, k - 1]), with B[-1, :] = 0."""

@@ -1,5 +1,6 @@
-"""Fisher-information engine: classical FI of outcome distributions, quantum
-FI of the state family, the shot-noise baseline, and comparison metrics."""
+"""Fisher-information engine: classical FI of the outcome series over a phase
+grid, quantum FI of the state family, the shot-noise baseline, and comparison
+metrics."""
 
 import hashlib
 import json
@@ -12,7 +13,7 @@ import numpy as np
 from . import __version__
 from .detectors import DetectorPovm, click_povm_from, ideal_pnr_povm
 from .errors import ConfigError
-from .fock import FockCutoff, TwoModeState
+from .fock import FockCutoff
 from .optics import (
     InterferometerConfig,
     InterferometerEngine,
@@ -30,53 +31,15 @@ DSUM_TOL = 1e-9
 # Phases evaluated per matrix product on a grid: bounds the per-block arrays,
 # so peak memory does not grow with the grid size.
 PHASE_BLOCK = 256
-
-# Photon-number-diagonal detection is blind to a phase common to both arms,
-# so the quantum bound is evaluated for the differential-phase family
-# generated by (n_s - n_i)/2.  The single-arm generator n_s would add the
-# information carried by the (unmeasured) common phase and double the bound.
-QFI_GENERATOR = "difference"
 # Phases whose mirror keys min(t, 2 pi - t) differ by at most this share one
 # QFI evaluation: a few ulps of 2 pi, the rounding np.linspace leaves between
 # theta_k and 2 pi - theta_{n-k}.
 MIRROR_TOL = 4 * np.spacing(2.0 * math.pi)
 
 
-@dataclass
-class OutcomeDistribution:
-    """Joint outcome probabilities p(j, k) and their phase derivatives."""
-
-    probs: np.ndarray
-    dprobs: np.ndarray
-    phase: float
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        self.dprobs = np.asarray(self.dprobs, dtype=float)
-        if self.probs.shape != self.dprobs.shape:
-            raise ConfigError("probs and dprobs must have matching shapes")
-        if self.probs.min() < -1e-12:
-            raise ConfigError(f"negative probability {self.probs.min():.3e}")
-        total = self.probs.sum()
-        if total > 1.0 + 1e-9:
-            raise ConfigError(f"probabilities sum to {total} > 1")
-        _check_derivative_sum(self.dprobs.sum())
-
-
 def _check_derivative_sum(total: float):
     if abs(total) > DSUM_TOL:
         warnings.warn(f"derivative sum {total:.3e} deviates from 0", RuntimeWarning)
-
-
-def outcome_distribution(
-    config: InterferometerConfig, povm_s: DetectorPovm, povm_i: DetectorPovm
-) -> OutcomeDistribution:
-    """Evaluate p(j, k; theta) and its exact derivative for one configuration."""
-    eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    series = outcome_series(eng, povm_s, povm_i)
-    return OutcomeDistribution(
-        series.values(config.phase), series.derivatives(config.phase), config.phase
-    )
 
 
 def outcome_series(
@@ -96,30 +59,17 @@ def _sliced_thetas(povm_s: DetectorPovm, povm_i: DetectorPovm, d: int):
     return povm_s.theta[:d], povm_i.theta[:d]
 
 
-def classical_fisher(dist: OutcomeDistribution) -> float:
-    """Per-trial classical Fisher information sum (dp)^2 / p.
-
-    Outcomes with p <= P_FLOOR are excluded; if such an outcome carries a
-    non-negligible derivative a near-singular warning is raised.
-    """
-    fi, n_suspect = _cfi_rows(
-        dist.probs.reshape(1, -1), dist.dprobs.reshape(1, -1), P_FLOOR, DP_FLOOR
-    )
-    _warn_suspects(n_suspect)
-    return float(fi[0])
-
-
-def _cfi_rows(p, dp, p_floor, dp_floor):
-    """Sum (dp)^2/p over outcomes with p > p_floor, for each row of a
+def _cfi_rows(p, dp):
+    """Sum (dp)^2/p over outcomes with p > P_FLOOR, for each row of a
     (rows, outcomes) batch such as one row per phase.
 
     Returns (fi per row, n_suspect) where n_suspect counts outcomes, over all
-    rows, with p <= p_floor but |dp| > dp_floor (near-singular contributions
+    rows, with p <= P_FLOOR but |dp| > DP_FLOOR (near-singular contributions
     that were skipped).
     """
-    live = p > p_floor
+    live = p > P_FLOOR
     fi = np.sum(np.where(live, dp * dp / np.where(live, p, 1.0), 0.0), axis=1)
-    n_suspect = int(np.count_nonzero(~live & (np.abs(dp) > dp_floor)))
+    n_suspect = int(np.count_nonzero(~live & (np.abs(dp) > DP_FLOOR)))
     return fi, n_suspect
 
 
@@ -144,7 +94,7 @@ def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, int, float]:
         block = grid[lo : lo + PHASE_BLOCK]
         p = series.values(block).reshape(block.size, -1)
         dp = series.derivatives(block).reshape(block.size, -1)
-        cfi[lo : lo + block.size], n_bad = _cfi_rows(p, dp, P_FLOOR, DP_FLOOR)
+        cfi[lo : lo + block.size], n_bad = _cfi_rows(p, dp)
         n_suspect += n_bad
         dsum = max(dsum, float(np.max(np.abs(dp.sum(axis=1)))))
     return cfi, n_suspect, dsum
@@ -159,7 +109,7 @@ def quantum_fisher_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (g.real - abs(b) ** 2))
 
 
-def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray, lam_floor=QFI_EIG_FLOOR) -> float:
+def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
     """QFI via the spectral SLD formula 2 sum |<a|drho|b>|^2 / (lam_a + lam_b)."""
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
@@ -171,15 +121,8 @@ def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray, lam_floor=QFI_EIG_FL
     M = V.conj().T @ drho @ V
     lam = np.maximum(lam, 0.0)
     W = lam[:, None] + lam[None, :]
-    mask = W > lam_floor
+    mask = W > QFI_EIG_FLOOR
     return 2.0 * float(np.sum((np.abs(M) ** 2)[mask] / W[mask]))
-
-
-def quantum_fisher(state: TwoModeState, dstate: np.ndarray) -> float:
-    """Dispatch to the pure- or mixed-state QFI branch."""
-    if state.is_pure:
-        return quantum_fisher_pure(state.vector, dstate)
-    return quantum_fisher_mixed(state.rho, dstate)
 
 
 def shot_noise_limit(z: SqueezingParams | float) -> float:
@@ -298,13 +241,10 @@ def sweep_fisher(
         qfi_class = np.empty(first.size)
         for cls, th in enumerate(phase_grid[first]):
             if eng.is_pure:
-                qfi_class[cls] = quantum_fisher_pure(
-                    eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR)
-                )
+                qfi_class[cls] = quantum_fisher_pure(eng.psi3(th), eng.dpsi3(th))
             else:
                 qfi_class[cls] = sum(
-                    quantum_fisher_mixed(*block.at(th))
-                    for block in eng.parity_block_series(QFI_GENERATOR)
+                    quantum_fisher_mixed(*block.at(th)) for block in eng.parity_block_series
                 )
         qfi = qfi_class[label]
     meta = {

@@ -1,5 +1,5 @@
-"""Physical model layer: TMSV source, beam splitters, phase shifters, loss,
-and the full interferometer pipeline sigma1 -> sigma4.
+"""Physical model layer: TMSV source, beam splitters, loss, and the
+interferometer pipeline sigma1 -> sigma4 as exact phase series.
 
 Beam-splitter convention (pinned): symmetric with reflection phase i, i.e.
 a_s^dag -> sqrt(eta) a_s^dag + i sqrt(1-eta) a_i^dag. Any fixed convention only
@@ -7,18 +7,13 @@ shifts the interferometer phase by a constant.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
-from .fock import (
-    FockCutoff,
-    ModeOperator,
-    TwoModeState,
-    signal_photon_numbers,
-)
+from .fock import FockCutoff, signal_photon_numbers
 
 _BALANCED = 0.5
 
@@ -73,10 +68,6 @@ class LossModel:
             return cls(eta_p_s=eta, eta_p_i=eta)
         raise ConfigError(f"stage must be 'p' or 'd', got {stage!r}")
 
-    @property
-    def is_lossless(self) -> bool:
-        return self.eta_p_s == self.eta_p_i == self.eta_d_s == self.eta_d_i == 1.0
-
     def scaled(self, transmission: float) -> "LossModel":
         """Insert an extra common-path sample of the given transmission in both arms."""
         return LossModel(
@@ -94,31 +85,18 @@ class InterferometerConfig:
     phase: float
     cutoff: FockCutoff
 
-    @property
-    def phase_mod_2pi(self) -> float:
-        return self.phase % (2.0 * math.pi)
-
-    def with_phase(self, phase: float) -> "InterferometerConfig":
-        return InterferometerConfig(self.squeezing, self.loss, phase, self.cutoff)
-
 
 # ---------------------------------------------------------------------------
-# State and operator constructors
+# Source state and beam splitter
 # ---------------------------------------------------------------------------
 
-def tmsv_state(z: SqueezingParams | float, cutoff: FockCutoff) -> TwoModeState:
-    """Truncated TMSV: amplitude sqrt(1-z^2) z^n on |n, n>."""
-    if not isinstance(z, SqueezingParams):
-        z = SqueezingParams(z)
+def tmsv_state(z: float, cutoff: FockCutoff) -> np.ndarray:
+    """Truncated TMSV as a (d, d) amplitude array c[n_s, n_i]: sqrt(1-z^2) z^n
+    on |n, n>."""
     d = cutoff.dim
     amps = np.zeros((d, d), dtype=complex)
-    amps[np.arange(d), np.arange(d)] = math.sqrt(1.0 - z.z**2) * z.z ** np.arange(d)
-    return TwoModeState.pure(amps, cutoff)
-
-
-def tmsv_tail_bound(z: float, max_photons: int) -> float:
-    """Closed-form truncation-tail probability (1-z^2) sum_{n>max} z^{2n} = z^{2(max+1)}."""
-    return float(z ** (2 * (max_photons + 1)))
+    amps[np.arange(d), np.arange(d)] = math.sqrt(1.0 - z**2) * z ** np.arange(d)
+    return amps
 
 
 def _bs_block(eta: float, N: int) -> np.ndarray:
@@ -177,43 +155,9 @@ def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
     return U
 
 
-def beam_splitter_unitary(eta: float, cutoff: FockCutoff) -> ModeOperator:
-    """Two-mode beam splitter of transmissivity eta on the joint space."""
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"transmissivity must be in [0, 1], got {eta}")
-    return ModeOperator(_bs_matrix(eta, cutoff.max_photons), "unitary", cutoff)
-
-
-def phase_shifter(theta: float, mode: str, cutoff: FockCutoff) -> ModeOperator:
-    """Diagonal phase unitary exp(i n theta) on the chosen mode, embedded jointly."""
-    if not math.isfinite(theta):
-        raise ConfigError(f"phase must be finite, got {theta}")
-    if mode not in ("s", "i"):
-        raise ConfigError(f"mode must be 's' or 'i', got {mode!r}")
-    d = cutoff.dim
-    one = np.diag(np.exp(1j * theta * np.arange(d)))
-    eye = np.eye(d, dtype=complex)
-    mat = np.kron(one, eye) if mode == "s" else np.kron(eye, one)
-    return ModeOperator(mat, "unitary", cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Loss channels
 # ---------------------------------------------------------------------------
-
-def loss_kraus_operators(eta: float, cutoff: FockCutoff) -> list[np.ndarray]:
-    """One-mode pure-loss Kraus set; K_l removes l photons."""
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"transmissivity must be in [0, 1], got {eta}")
-    d = cutoff.dim
-    ops = []
-    for l in range(d):
-        K = np.zeros((d, d), dtype=complex)
-        for n in range(l, d):
-            K[n - l, n] = math.sqrt(math.comb(n, l) * eta ** (n - l) * (1.0 - eta) ** l)
-        ops.append(K)
-    return ops
-
 
 def binomial_population_matrix(eta: float, d: int) -> np.ndarray:
     """B[m, k] = P(m photons survive of k) under transmissivity eta.
@@ -243,9 +187,10 @@ def _binomial_tables(d: int):
 def loss_superoperator(eta: float, d: int) -> np.ndarray:
     """One-mode pure-loss channel as a (d^2, d^2) superoperator on (n, n') pairs.
 
-    L[(x, y), (a, c)] = sum_l K_l[x, a] K_l[y, c] for the Kraus set of
-    loss_kraus_operators, which is nonzero only where a - x = c - y = l; there
-    it equals sqrt(B[x, a] B[y, c]) with B the binomial survival matrix.
+    L[(x, y), (a, c)] = sum_l K_l[x, a] K_l[y, c] for the Kraus set
+    K_l[n - l, n] = sqrt(C(n, l) eta^(n - l) (1 - eta)^l), where K_l removes l
+    photons; it is nonzero only where a - x = c - y = l, and there equals
+    sqrt(B[x, a] B[y, c]) with B the binomial survival matrix.
     """
     B = binomial_population_matrix(eta, d)
     n = np.arange(d)
@@ -269,68 +214,6 @@ def _apply_loss(rho: np.ndarray, d: int, L_s=None, L_i=None) -> np.ndarray:
     if L_i is not None:
         R = R @ L_i.T
     return R.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def loss_channel(
-    state: TwoModeState, mode: str, eta: float, method: str = "kraus"
-) -> TwoModeState:
-    """Pure-loss channel of transmissivity eta on one mode.
-
-    method='kraus' applies the superoperator of the closed-form Kraus set
-    (loss_superoperator) as one matrix product; method='ancilla' mixes with a
-    vacuum ancilla on a beam splitter and traces it out. The two agree to
-    machine precision and serve as mutual oracles.
-    """
-    if mode not in ("s", "i"):
-        raise ConfigError(f"mode must be 's' or 'i', got {mode!r}")
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"transmissivity must be in [0, 1], got {eta}")
-    cutoff = state.cutoff
-    rho = state.to_density_matrix()
-    if method == "kraus":
-        L = loss_superoperator(eta, cutoff.dim)
-        if mode == "s":
-            out = _apply_loss(rho, cutoff.dim, L_s=L)
-        else:
-            out = _apply_loss(rho, cutoff.dim, L_i=L)
-    elif method == "ancilla":
-        out = _loss_via_ancilla(rho, cutoff, mode, eta)
-    else:
-        raise ConfigError(f"unknown loss method {method!r}")
-    return TwoModeState.density(out, cutoff, validate=False)
-
-
-def _loss_via_ancilla(rho: np.ndarray, cutoff: FockCutoff, mode: str, eta: float) -> np.ndarray:
-    """Fictitious-beam-splitter loss: vacuum ancilla + BS(eta) + partial trace."""
-    d = cutoff.dim
-    # Three-mode ordering (a, s, i); the ancilla starts in vacuum, so every
-    # engaged total-N block of the (a, mode) beam splitter is complete.
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    rho3 = np.kron(vac, rho)  # (a x s x i)
-    U2 = _bs_matrix(eta, cutoff.max_photons)  # acts on (a, target)
-    eye = np.eye(d, dtype=complex)
-    if mode == "s":
-        U3 = np.kron(U2, eye)  # (a, s) pair, i untouched
-    else:
-        # permute so the BS couples (a, i): build on (a, i) then swap back
-        perm = _swap_middle_last(d)
-        U3 = perm @ np.kron(U2, eye) @ perm.T
-    rho3 = U3 @ rho3 @ U3.conj().T
-    # trace out the ancilla (first factor)
-    r = rho3.reshape(d, d * d, d, d * d)
-    return np.einsum("axay->xy", r)
-
-
-@lru_cache(maxsize=16)
-def _swap_middle_last(d: int) -> np.ndarray:
-    """Permutation on (a, s, i) exchanging the s and i factors."""
-    P = np.zeros((d**3, d**3))
-    for a in range(d):
-        for s in range(d):
-            for i in range(d):
-                P[a * d * d + i * d + s, a * d * d + s * d + i] = 1.0
-    return P
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +354,10 @@ class InterferometerEngine:
     pair_sector_map gives the pre-detection series, and detection loss maps
     populations by the binomial matrices (population_series). sigma3(theta)
     differs from the fixed conjugation A = U_bs sigma2 U_bs^dag only by an
-    elementwise phase factor, whose exact theta-derivative follows from
-    d/dtheta exp(i n theta) = i n (...); split by frequency, this gives the
-    QFI its series of sigma4's parity blocks (parity_block_series). The dense
-    per-phase sigma4 path serves the tests and evolve_pipeline. Loss on each
-    arm is one superoperator product (loss_superoperator). sigma2, A and the
-    pure state are built on first use.
+    elementwise phase factor exp(i theta (g_j - g_k)); split by frequency,
+    this gives the QFI its series of sigma4's parity blocks
+    (parity_block_series). Loss on each arm is one superoperator product
+    (loss_superoperator). sigma2, A and the pure state are built on first use.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
@@ -490,7 +371,12 @@ class InterferometerEngine:
         self.Ub = _bs_matrix(_BALANCED, cutoff.max_photons)
         ns = signal_photon_numbers(cutoff).astype(float)
         ni = np.tile(np.arange(d, dtype=float), d)
-        self._gen = {"signal": ns, "difference": 0.5 * (ns - ni)}
+        # Photon-number-diagonal detection is blind to a phase common to both
+        # arms, so the quantum bound is evaluated for the differential-phase
+        # family generated by g = (n_s - n_i)/2. The single-arm generator n_s
+        # would add the information carried by the (unmeasured) common phase
+        # and double the bound; the populations are the same for both.
+        self._g = 0.5 * (ns - ni)
         # Every stage conserves the parity of n_s + n_i, so sigma4 and its
         # derivative are block-diagonal over these two index sets.
         odd = (ns + ni) % 2 == 1
@@ -498,20 +384,19 @@ class InterferometerEngine:
         self.pairs = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, d)
         self._Bs = binomial_population_matrix(loss.eta_d_s, d)
         self._Bi = binomial_population_matrix(loss.eta_d_i, d)
-        self._block_series = {}
 
     # -- full-matrix path --------------------------------------------------
 
     @cached_property
     def sigma2(self) -> np.ndarray:
         """Density operator after preparation loss."""
-        psi1 = tmsv_state(self.squeezing, self.cutoff)
+        v = tmsv_state(self.squeezing.z, self.cutoff).ravel()
+        rho = np.outer(v, v.conj())
         if self.prep_lossless:
-            v = psi1.vector.ravel()
-            return np.outer(v, v.conj())
+            return rho
         d = self.cutoff.dim
         return _apply_loss(
-            psi1.to_density_matrix(),
+            rho,
             d,
             L_s=_superoperator_or_none(self.loss.eta_p_s, d),
             L_i=_superoperator_or_none(self.loss.eta_p_i, d),
@@ -520,20 +405,6 @@ class InterferometerEngine:
     @cached_property
     def _A(self) -> np.ndarray:
         return self.Ub @ self.sigma2 @ self.Ub.conj().T
-
-    def _phased_A(self, theta: float, generator: str) -> np.ndarray:
-        """exp(i theta g) A exp(-i theta g) for the diagonal generator g."""
-        e = np.exp(1j * theta * self._gen[generator])
-        return np.outer(e, e.conj()) * self._A
-
-    def sigma3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        return self.Ub @ self._phased_A(theta, generator) @ self.Ub.conj().T
-
-    def dsigma3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        g = self._gen[generator]
-        F = self._phased_A(theta, generator)
-        dF = 1j * (g[:, None] * F - F * g[None, :])
-        return self.Ub @ dF @ self.Ub.conj().T
 
     @cached_property
     def detection_superoperators(self) -> tuple:
@@ -550,35 +421,27 @@ class InterferometerEngine:
         L_s, L_i = self.detection_superoperators
         return _apply_loss(rho, self.cutoff.dim, L_s, L_i)
 
-    def sigma4(self, theta: float, generator: str = "signal") -> np.ndarray:
-        return self._detection_loss(self.sigma3(theta, generator))
-
-    def dsigma4(self, theta: float, generator: str = "signal") -> np.ndarray:
-        return self._detection_loss(self.dsigma3(theta, generator))
-
-    def parity_block_series(self, generator: str) -> tuple[HermitianSeries, ...]:
+    @cached_property
+    def parity_block_series(self) -> tuple[HermitianSeries, ...]:
         """sigma4(theta) restricted to each of parity_blocks, as exact series.
 
         Within a parity block the phase factor's frequencies g_j - g_k are the
         integers -M..M, and detection loss is linear, so the block is
         sum_w exp(i w theta) S_w with S_w = Lambda_d(U_bs (A o [g_j - g_k = w])
         U_bs^dag) restricted to it; S_{-w} = S_w^dag because A is Hermitian.
-        Costs M + 1 dense evaluations, once per engine and generator.
+        Costs M + 1 dense evaluations, once per engine.
         """
-        if generator not in self._block_series:
-            g = self._gen[generator]
-            omega = g[:, None] - g[None, :]
-            M = self.cutoff.max_photons
-            Ubh = self.Ub.conj().T
-            coeffs = [np.empty((M + 1, b.size, b.size), dtype=complex) for b in self.parity_blocks]
-            for w in range(M + 1):
-                S = self._detection_loss(self.Ub @ np.where(omega == w, self._A, 0.0) @ Ubh)
-                for c, b in zip(coeffs, self.parity_blocks):
-                    c[w] = S[np.ix_(b, b)]
-            for c in coeffs:
-                c[0] *= 0.5
-            self._block_series[generator] = tuple(HermitianSeries(c) for c in coeffs)
-        return self._block_series[generator]
+        omega = self._g[:, None] - self._g[None, :]
+        M = self.cutoff.max_photons
+        Ubh = self.Ub.conj().T
+        coeffs = [np.empty((M + 1, b.size, b.size), dtype=complex) for b in self.parity_blocks]
+        for w in range(M + 1):
+            S = self._detection_loss(self.Ub @ np.where(omega == w, self._A, 0.0) @ Ubh)
+            for c, b in zip(coeffs, self.parity_blocks):
+                c[w] = S[np.ix_(b, b)]
+        for c in coeffs:
+            c[0] *= 0.5
+        return tuple(HermitianSeries(c) for c in coeffs)
 
     # -- population path (enough for diagonal POVMs) ------------------------
 
@@ -607,24 +470,10 @@ class InterferometerEngine:
     def _a_vec(self) -> np.ndarray:
         if not self.prep_lossless:
             raise ConfigError("pure-state path requires lossless preparation")
-        return self.Ub @ tmsv_state(self.squeezing, self.cutoff).vector.ravel()
+        return self.Ub @ tmsv_state(self.squeezing.z, self.cutoff).ravel()
 
-    def psi3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        g = self._gen[generator]
-        return self.Ub @ (np.exp(1j * theta * g) * self._a_vec)
+    def psi3(self, theta: float) -> np.ndarray:
+        return self.Ub @ (np.exp(1j * theta * self._g) * self._a_vec)
 
-    def dpsi3(self, theta: float, generator: str = "signal") -> np.ndarray:
-        g = self._gen[generator]
-        return self.Ub @ (1j * g * np.exp(1j * theta * g) * self._a_vec)
-
-
-def evolve_pipeline(config: InterferometerConfig) -> TwoModeState:
-    """Full sigma1 -> sigma4 evolution at the configured phase (density operator)."""
-    eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    return TwoModeState.density(eng.sigma4(config.phase), config.cutoff, validate=False)
-
-
-def analytic_phase_derivative(config: InterferometerConfig) -> np.ndarray:
-    """Exact d(sigma4)/d(theta) at the configured phase."""
-    eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    return eng.dsigma4(config.phase)
+    def dpsi3(self, theta: float) -> np.ndarray:
+        return self.Ub @ (1j * self._g * np.exp(1j * theta * self._g) * self._a_vec)

@@ -1,9 +1,12 @@
-"""Shared fixtures and independent brute-force oracles for the test suite.
+"""Shared fixtures and reference implementations for the test suite.
 
-The oracles deliberately avoid the library's own construction paths: beam
-splitters come from scipy's matrix exponential of the two-mode generator,
-loss from explicit binomial matrices, derivatives from central finite
-differences.
+The brute-force oracles deliberately avoid the library's own construction
+paths: beam splitters come from scipy's matrix exponential of the two-mode
+generator, loss from explicit binomial matrices, derivatives from central
+finite differences. The dense references (dense_sigma3, dense_sigma4,
+loss_via_ancilla) are the per-phase d^2 x d^2 paths that the library's phase
+series and superoperator loss replaced; they share the engine's fixed parts
+and serve as the tests' oracles.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ from scipy.linalg import expm
 from scipy.special import comb
 
 from tmsvfisher import FockCutoff
+from tmsvfisher.optics import _bs_matrix
 
 
 @pytest.fixture
@@ -69,3 +73,53 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
+
+
+def difference_generator(d: int) -> np.ndarray:
+    """(n_s - n_i)/2 per joint index, the phase generator of the engine."""
+    n = np.arange(d)
+    return 0.5 * (n[:, None] - n[None, :]).ravel()
+
+
+def dense_sigma3(eng, theta: float, g=None):
+    """(sigma3, dsigma3) at theta as dense matrices: the phase factor
+    exp(i theta g) conjugating the engine's A = U sigma2 U^dag, then the second
+    beam splitter. g defaults to the engine's generator (n_s - n_i)/2."""
+    if g is None:
+        g = difference_generator(eng.cutoff.dim)
+    e = np.exp(1j * theta * g)
+    F = np.outer(e, e.conj()) * eng._A
+    dF = 1j * (g[:, None] * F - F * g[None, :])
+    U, Uh = eng.Ub, eng.Ub.conj().T
+    return U @ F @ Uh, U @ dF @ Uh
+
+
+def dense_sigma4(eng, theta: float, g=None):
+    """(sigma4, dsigma4) at theta: dense_sigma3 through the engine's detection loss."""
+    return tuple(eng._detection_loss(x) for x in dense_sigma3(eng, theta, g))
+
+
+def series_sigma4(eng, theta: float):
+    """(sigma4, dsigma4) at theta assembled from the engine's parity-block series."""
+    D = eng.cutoff.joint_dim
+    rho, drho = np.zeros((D, D), dtype=complex), np.zeros((D, D), dtype=complex)
+    for block, b in zip(eng.parity_block_series, eng.parity_blocks):
+        rho[np.ix_(b, b)], drho[np.ix_(b, b)] = block.at(theta)
+    return rho, drho
+
+
+def loss_via_ancilla(rho: np.ndarray, d: int, mode: str, eta: float) -> np.ndarray:
+    """Pure loss on one mode of a joint density operator by a fictitious beam
+    splitter: a vacuum ancilla, the library's beam splitter of transmissivity
+    eta on (ancilla, mode), and the trace over the ancilla. The ancilla starts
+    in vacuum, so every engaged total-N block of that beam splitter is complete."""
+    if mode == "i":
+        def swap(r):
+            return r.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+        return swap(loss_via_ancilla(swap(rho), d, "s", eta))
+    vac = np.zeros((d, d), dtype=complex)
+    vac[0, 0] = 1.0
+    U3 = np.kron(_bs_matrix(eta, d - 1), np.eye(d))  # (ancilla, s) coupled, i untouched
+    rho3 = U3 @ np.kron(vac, rho) @ U3.conj().T
+    return np.einsum("axay->xy", rho3.reshape(d, d * d, d, d * d))

@@ -23,11 +23,8 @@ from tmsvfisher import (
     click_povm_from,
     coherent_probe_matrix,
     efficiency_povm,
-    evolve_pipeline,
-    analytic_phase_derivative,
     fit_model,
     ideal_pnr_povm,
-    loss_channel,
     max_cfi_over_phase,
     pnr_click_ratio,
     quantum_fisher_mixed,
@@ -36,20 +33,21 @@ from tmsvfisher import (
     bootstrap_ci,
     sub_snl_fraction,
     sweep_fisher,
-    tmsv_state,
     tomography_mle,
 )
 from tmsvfisher.detectors import dense_probe_ladder, simulate_response
-from tmsvfisher.fock import TwoModeState
-from tmsvfisher.metrology import (
-    QFI_GENERATOR,
-    classical_fisher,
-    default_phase_grid,
-    outcome_distribution,
-)
-from tmsvfisher.optics import InterferometerEngine
+from tmsvfisher.metrology import default_phase_grid
+from tmsvfisher.optics import InterferometerEngine, _apply_loss, loss_superoperator
 
-from conftest import binomial_loss_matrix, bs_expm, random_density, tmsv_vector
+from conftest import (
+    binomial_loss_matrix,
+    bs_expm,
+    dense_sigma4,
+    loss_via_ancilla,
+    random_density,
+    series_sigma4,
+    tmsv_vector,
+)
 
 N_BAR_EXP = 3.631e-3
 ETA_S_EXP = 0.805
@@ -69,7 +67,7 @@ def _experiment_config(loss, phase=0.0, max_photons=10):
 
 def _cfi_at(loss, phase, pnr, max_photons=10):
     cfg = _experiment_config(loss, phase, max_photons)
-    return classical_fisher(outcome_distribution(cfg, pnr, pnr))
+    return sweep_fisher(cfg, [phase], pnr, pnr, compute_qfi=False).cfi[0]
 
 
 def _bisect_threshold(predicate, lo=0.0, hi=0.6, tol=1e-4):
@@ -226,37 +224,35 @@ def test_criterion_4_ordering_properties():
 
 
 def test_criterion_5_oracle_equivalences():
+    # loss: the production superoperator against the ancilla oracle
     c = FockCutoff(5)
     rng = np.random.default_rng(2024)
     worst_loss = 0.0
     for _ in range(100):
         rho = random_density(rng, c.joint_dim)
-        state = TwoModeState.density(rho, c, validate=False)
         eta = rng.uniform(0.1, 0.99)
         mode = "s" if rng.random() < 0.5 else "i"
-        a = loss_channel(state, mode, eta, method="kraus").rho
-        b = loss_channel(state, mode, eta, method="ancilla").rho
+        L = loss_superoperator(eta, c.dim)
+        a = _apply_loss(rho, c.dim, L_s=L) if mode == "s" else _apply_loss(rho, c.dim, L_i=L)
+        b = loss_via_ancilla(rho, c.dim, mode, eta)
         worst_loss = max(worst_loss, float(np.max(np.abs(a - b))))
 
-    cfg = InterferometerConfig(
-        SqueezingParams(0.3), LossModel(0.9, 0.8, 0.85, 0.95), 0.7, FockCutoff(8)
+    # derivative: dsigma4 of the parity-block series the QFI reads, against a
+    # central difference of the dense per-phase sigma4
+    eng = InterferometerEngine(
+        SqueezingParams(0.3), LossModel(0.9, 0.8, 0.85, 0.95), FockCutoff(8)
     )
-    d_an = analytic_phase_derivative(cfg)
-    h = 1e-5
-    sp = evolve_pipeline(
-        InterferometerConfig(cfg.squeezing, cfg.loss, cfg.phase + h, cfg.cutoff)
-    ).rho
-    sm = evolve_pipeline(
-        InterferometerConfig(cfg.squeezing, cfg.loss, cfg.phase - h, cfg.cutoff)
-    ).rho
-    d_fd = (sp - sm) / (2 * h)
+    th, h = 0.7, 1e-5
+    d_an = series_sigma4(eng, th)[1]
+    d_fd = (dense_sigma4(eng, th + h)[0] - dense_sigma4(eng, th - h)[0]) / (2 * h)
     rel_fd = float(np.linalg.norm(d_an - d_fd) / np.linalg.norm(d_an))
 
+    # QFI: the pure-state path against the parity-block sum sweep_fisher takes
+    # for a mixed state, on one lossless state
     eng = InterferometerEngine(SqueezingParams(0.35), LossModel(), FockCutoff(8))
     th = 0.9
-    psi, dpsi = eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR)
-    q_pure = quantum_fisher_pure(psi, dpsi)
-    q_mixed = quantum_fisher_mixed(eng.sigma4(th, QFI_GENERATOR), eng.dsigma4(th, QFI_GENERATOR))
+    q_pure = quantum_fisher_pure(eng.psi3(th), eng.dpsi3(th))
+    q_mixed = sum(quantum_fisher_mixed(*block.at(th)) for block in eng.parity_block_series)
     rel_qfi = abs(q_pure - q_mixed) / q_pure
 
     ok = worst_loss < 1e-12 and rel_fd < 1e-6 and rel_qfi < 1e-8

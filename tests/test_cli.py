@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import tmsvfisher
-from tmsvfisher import ProbeSet, efficiency_povm, ideal_pnr_povm
+from tmsvfisher import FockCutoff, InterferometerConfig, LossModel, SqueezingParams
+from tmsvfisher import ProbeSet, cli, efficiency_povm, ideal_pnr_povm, simulate_counts
 from tmsvfisher.cli import main
 from tmsvfisher.detectors import (
     ResponseMatrix,
@@ -290,6 +291,49 @@ class TestFit:
         assert run(argv[0], counts, "--cutoff", 3, *argv[1:], "--out", out) == 2
         assert f"(field: {field})" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("sweep", "--z", 0.2, "--cutoff", 3, "--phases", 8,
+          "--out-prefix", "{missing}/run_"), "out-prefix"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 3, "--phases", 8,
+          "--out-dir", "{missing}"), "out-dir"),
+        (("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 2, "--seed", 1,
+          "--out", "{missing}/counts.csv"), "out"),
+        (("fit", "{counts}", "--cutoff", 3, "--out", "{missing}/fit.json"), "out"),
+        (("bootstrap", "{counts}", "--cutoff", 3, "--seed", 7,
+          "--out", "{missing}/band.csv"), "out"),
+        (("tomography", "{probes}", "--kmax", 3, "--out", "{missing}/povm.json"), "out"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 3, "--loss-grid", "0,x",
+          "--out-dir", "{tmp}"), "loss-grid"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 3, "--nbar-grid", "0.1,big",
+          "--out-dir", "{tmp}"), "nbar-grid"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 3, "--loss-model", "1,1,a,b",
+          "--out-dir", "{tmp}"), "loss-model"),
+    ],
+)
+def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      argv, field):
+    # valid inputs, so that only the named field can stop the run
+    cutoff = FockCutoff(3)
+    config = InterferometerConfig(SqueezingParams(0.2), LossModel(), 0.0, cutoff)
+    pnr = ideal_pnr_povm(3, 3)
+    simulate_counts(config, pnr, pnr, [0.5, 1.5], 1000, 4).to_csv(tmp_path / "counts.csv")
+    _probe_csv(tmp_path / "probes.csv", efficiency_povm(0.9, 3, 3))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("sweep_fisher", "pnr_click_ratio", "simulate_counts", "fit_model",
+                 "bootstrap_ci", "tomography_mle"):
+        monkeypatch.setattr(cli, name, no_work)
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path,
+             "counts": tmp_path / "counts.csv", "probes": tmp_path / "probes.csv"}
+    assert run(*(str(a).format(**paths) for a in argv)) == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def _loaded_after_cli_import(module):

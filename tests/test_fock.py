@@ -1,28 +1,10 @@
-"""Truncated Fock-space substrate: states, tensor products, partial traces."""
+"""Truncated Fock space: the cutoff, and the truncated TMSV amplitudes on it."""
 
 import numpy as np
 import pytest
 
-from tmsvfisher import (
-    ConfigError,
-    CutoffMismatchError,
-    FockCutoff,
-    ModeOperator,
-    SqueezingParams,
-    TwoModeState,
-    tmsv_state,
-)
-from tmsvfisher.fock import (
-    expectation,
-    mode_number_operator,
-    partial_trace,
-    tensor,
-    total_number_operator,
-    validate_density,
-)
-from tmsvfisher.optics import tmsv_tail_bound
-
-from conftest import random_density
+from tmsvfisher import ConfigError, FockCutoff, SqueezingParams
+from tmsvfisher.optics import tmsv_state
 
 
 class TestFockCutoff:
@@ -36,126 +18,34 @@ class TestFockCutoff:
             FockCutoff(0)
 
 
-class TestTensor:
-    def test_vacuum_tensor_vacuum(self):
-        v = np.zeros(4)
-        v[0] = 1.0
-        joint = tensor(v, v)
-        # vectors tensor to the (n_s, n_i) amplitude tensor
-        assert joint.shape == (4, 4)
-        assert joint[0, 0] == 1.0
-        assert np.count_nonzero(joint) == 1
-
-    def test_fock_one_tensor_fock_two(self):
-        d = 4
-        e1 = np.eye(d)[1]
-        e2 = np.eye(d)[2]
-        joint = tensor(e1, e2)
-        # signal-major convention: first index is n_s
-        assert joint[1, 2] == 1.0
-        assert np.count_nonzero(joint) == 1
-
-    def test_identity_tensor_identity(self):
-        eye = np.eye(5)
-        assert np.array_equal(tensor(eye, eye), np.eye(25))
-
-    def test_cutoff_mismatch_raises(self):
-        with pytest.raises(CutoffMismatchError):
-            tensor(np.eye(4), np.eye(5))
-
-
 class TestPartialTrace:
-    def test_product_state_recovers_factor(self):
-        rng = np.random.default_rng(11)
-        c = FockCutoff(3)
-        rho_s = random_density(rng, c.dim)
-        rho_i = random_density(rng, c.dim)
-        joint = tensor(rho_s, rho_i)
-        assert np.max(np.abs(partial_trace(joint, c, "i") - rho_s)) < 1e-12
-        assert np.max(np.abs(partial_trace(joint, c, "s") - rho_i)) < 1e-12
-
-    def test_maximally_correlated_gives_maximally_mixed(self):
-        c = FockCutoff(3)
-        d = c.dim
-        rho = np.zeros((d * d, d * d), dtype=complex)
-        for n in range(d):
-            rho[n * d + n, n * d + n] = 1.0 / d
-        red = partial_trace(rho, c, "i")
-        assert np.max(np.abs(red - np.eye(d) / d)) < 1e-12
-
     def test_tmsv_reduces_to_thermal(self):
         z = 0.4
         c = FockCutoff(8)
-        rho = tmsv_state(z, c).to_density_matrix()
-        red = partial_trace(rho, c, "i")
-        # oracle: thermal diagonal directly from the squared amplitudes
-        expected = np.diag((1 - z**2) * z ** (2 * np.arange(c.dim)))
-        assert np.max(np.abs(red - expected)) < 1e-12
-
-    def test_trace_preserved_and_hermitian(self):
-        rng = np.random.default_rng(3)
-        c = FockCutoff(3)
-        rho = random_density(rng, c.joint_dim)
-        red = partial_trace(rho, c, "s")
-        assert abs(np.trace(red).real - 1.0) < 1e-12
-        assert np.max(np.abs(red - red.conj().T)) < 1e-12
-        validate_density(red)
+        pops = np.abs(tmsv_state(z, c)) ** 2
+        # the TMSV populates only |n, n>, so the idler trace leaves the signal
+        # diagonal; oracle: the thermal weights (1 - z^2) z^(2n)
+        expected = (1 - z**2) * z ** (2 * np.arange(c.dim))
+        assert np.max(np.abs(pops.sum(axis=1) - expected)) < 1e-12
+        assert np.count_nonzero(pops - np.diag(np.diag(pops))) == 0
 
 
 class TestExpectation:
-    def test_vacuum_total_photons(self):
-        c = FockCutoff(4)
-        v = np.zeros((c.dim, c.dim))
-        v[0, 0] = 1.0
-        state = TwoModeState.pure(v, c)
-        assert expectation(state, total_number_operator(c)) == pytest.approx(0.0)
-
-    def test_fock_state_mode_number(self):
-        c = FockCutoff(4)
-        v = np.zeros((c.dim, c.dim))
-        v[2, 3] = 1.0  # |2, 3>
-        state = TwoModeState.pure(v, c)
-        assert expectation(state, mode_number_operator(c, "s")) == pytest.approx(2.0)
-        assert expectation(state, mode_number_operator(c, "i")) == pytest.approx(3.0)
-
     def test_tmsv_mean_photons(self):
         z = 0.3
         c = FockCutoff(10)
-        state = tmsv_state(z, c)
+        pops = np.abs(tmsv_state(z, c)) ** 2
+        n = np.arange(c.dim)
+        got = float(np.sum(pops * np.add.outer(n, n)))
         n_bar = SqueezingParams(z).mean_photons
-        got = expectation(state, total_number_operator(c))
         # the truncated tail carries ~2n photons per missing pair term
-        tol = 10 * c.max_photons * tmsv_tail_bound(z, c.max_photons) + 1e-12
+        tol = 10 * c.max_photons * z ** (2 * (c.max_photons + 1)) + 1e-12
         assert abs(got - n_bar) < tol
-
-    def test_non_hermitian_observable_rejected(self):
-        c = FockCutoff(2)
-        v = np.zeros((c.dim, c.dim))
-        v[0, 0] = 1.0
-        state = TwoModeState.pure(v, c)
-        obs = np.zeros((c.joint_dim, c.joint_dim), dtype=complex)
-        obs[0, 1] = 1.0  # not Hermitian
-        with pytest.raises(ConfigError):
-            expectation(state, obs)
 
 
 class TestStateValidation:
     def test_tmsv_norm_deficit_within_tail_bound(self):
         for z in (0.1, 0.5, 0.8):
             c = FockCutoff(6)
-            state = tmsv_state(z, c)
-            deficit = 1.0 - state.norm_squared()
-            assert 0.0 <= deficit <= tmsv_tail_bound(z, c.max_photons) + 1e-15
-
-    def test_density_psd_tolerance(self):
-        good = np.diag([0.5, 0.5, -0.5e-10])  # within -1e-10 tolerance
-        validate_density(good)
-        bad = np.diag([0.6, 0.5, -0.1])
-        with pytest.raises(ConfigError):
-            validate_density(bad)
-
-    def test_unitary_kind_checked(self):
-        c = FockCutoff(2)
-        with pytest.raises(ConfigError):
-            ModeOperator(np.ones((c.dim, c.dim)), "unitary", c)
-        ModeOperator(np.eye(c.dim), "unitary", c)  # passes
+            deficit = 1.0 - float(np.sum(np.abs(tmsv_state(z, c)) ** 2))
+            assert 0.0 <= deficit <= z ** (2 * (c.max_photons + 1)) + 1e-15

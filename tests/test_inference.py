@@ -8,8 +8,6 @@ import pytest
 
 from tmsvfisher import (
     ConfigError,
-    CountHistogram,
-    FitResult,
     FockCutoff,
     InterferometerConfig,
     LossModel,
@@ -18,12 +16,25 @@ from tmsvfisher import (
     fit_model,
     ideal_pnr_povm,
     simulate_counts,
-    snl_with_uncertainty,
 )
 from tmsvfisher import inference, optics
-from tmsvfisher.inference import FREE_PARAM_NAMES, _default_exclusion_mask, _model_probs
+from tmsvfisher.inference import (
+    FREE_PARAM_NAMES,
+    CountHistogram,
+    FitResult,
+    _default_exclusion_mask,
+    snl_with_uncertainty,
+)
 from tmsvfisher.metrology import _sliced_thetas
 from tmsvfisher.optics import InterferometerEngine
+
+from conftest import dense_sigma4
+
+
+def _model_probs(params, phases, ths, thi, cutoff):
+    """The fit's outcome probabilities (n_phases, n_j, n_k) at natural parameters."""
+    pair_map = optics.pair_sector_map(cutoff.max_photons).at_phases(phases)
+    return inference._probs_and_derivatives(pair_map, params, (), ths, thi)[0]
 
 
 def _truth_config(z=0.1, eta_p_s=0.85, eta_p_i=0.9, max_photons=6):
@@ -193,7 +204,7 @@ class TestFitObjective:
                 SqueezingParams(params["z"]), LossModel(*(params[n] for n in names[1:])), cutoff
             )
             for row, th in enumerate(phases):
-                pops = np.real(np.diag(eng.sigma4(th))).reshape(d, d)
+                pops = np.real(np.diag(dense_sigma4(eng, th)[0])).reshape(d, d)
                 assert np.max(np.abs(got[row] - ths.T @ pops @ thi)) < 1e-13
 
     def test_fit_builds_no_engine(self, monkeypatch):

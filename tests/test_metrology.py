@@ -9,13 +9,10 @@ import pytest
 
 from tmsvfisher import (
     ConfigError,
-    FisherReport,
     FockCutoff,
     InterferometerConfig,
     LossModel,
-    OutcomeDistribution,
     SqueezingParams,
-    classical_fisher,
     click_povm_from,
     efficiency_povm,
     ideal_pnr_povm,
@@ -23,20 +20,22 @@ from tmsvfisher import (
     pnr_click_ratio,
     quantum_fisher_mixed,
     quantum_fisher_pure,
-    shot_noise_limit,
     sub_snl_fraction,
     sweep_fisher,
 )
 from tmsvfisher import metrology
+from tmsvfisher.fock import signal_photon_numbers
 from tmsvfisher.metrology import (
     P_FLOOR,
-    QFI_GENERATOR,
+    FisherReport,
     default_phase_grid,
     golden_section_max,
-    outcome_distribution,
     outcome_series,
+    shot_noise_limit,
 )
 from tmsvfisher.optics import InterferometerEngine
+
+from conftest import dense_sigma4
 
 
 def _config(z=0.2, loss=None, phase=0.0, max_photons=8):
@@ -49,44 +48,44 @@ def _pnr(max_photons=8):
     return ideal_pnr_povm(max_photons, max_photons)
 
 
+def _cfi_at(cfg, theta, povm_s, povm_i):
+    """Single-phase CFI: the sweep on a one-point grid."""
+    return sweep_fisher(cfg, [theta], povm_s, povm_i, compute_qfi=False).cfi[0]
+
+
 class TestClassicalFisher:
     def test_constant_distribution_gives_zero(self):
-        probs = np.full((2, 2), 0.25)
-        dist = OutcomeDistribution(probs, np.zeros((2, 2)), 0.3)
-        assert classical_fisher(dist) == 0.0
+        fi, n_suspect = metrology._cfi_rows(np.full((1, 4), 0.25), np.zeros((1, 4)))
+        assert fi[0] == 0.0
+        assert n_suspect == 0
 
     def test_binary_half_angle_distribution(self):
         for th in (0.2, 1.0, 2.5):
-            p = np.array([math.cos(th / 2) ** 2, math.sin(th / 2) ** 2])
-            dp = np.array([-0.5 * math.sin(th), 0.5 * math.sin(th)])
-            dist = OutcomeDistribution(p, dp, th)
-            assert classical_fisher(dist) == pytest.approx(1.0, abs=1e-12)
+            p = np.array([[math.cos(th / 2) ** 2, math.sin(th / 2) ** 2]])
+            dp = np.array([[-0.5 * math.sin(th), 0.5 * math.sin(th)]])
+            assert metrology._cfi_rows(p, dp)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_against_log_likelihood_curvature(self):
         # oracle: FI = -E[d^2/dtheta^2 log p] via central second differences
-        cfg = _config(0.3, LossModel.symmetric(0.85), math.pi / 4)
+        cfg = _config(0.3, LossModel.symmetric(0.85))
         pnr = _pnr()
-        dist = outcome_distribution(cfg, pnr, pnr)
-        fi = classical_fisher(dist)
-        h = 1e-4
-        p0 = dist.probs
-        pp = outcome_distribution(_config(0.3, LossModel.symmetric(0.85), cfg.phase + h), pnr, pnr).probs
-        pm = outcome_distribution(_config(0.3, LossModel.symmetric(0.85), cfg.phase - h), pnr, pnr).probs
+        theta, h = math.pi / 4, 1e-4
+        fi = _cfi_at(cfg, theta, pnr, pnr)
+        series = outcome_series(
+            InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff), pnr, pnr
+        )
+        p0, pp, pm = (series.values(theta + dt) for dt in (0.0, h, -h))
         live = p0 > 1e-10
         curv = np.sum(p0[live] * (np.log(pp[live]) - 2 * np.log(p0[live]) + np.log(pm[live])) / h**2)
         assert fi == pytest.approx(-curv, rel=1e-3)
 
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ConfigError):
-            OutcomeDistribution(np.array([-0.1, 1.1]), np.zeros(2), 0.0)
-
     def test_floored_outcome_dropped_with_warning(self):
-        dist = OutcomeDistribution(
-            np.array([0.5, 0.5, 0.0]), np.array([0.1, -0.2, 0.1]), 0.0
-        )
+        p = np.array([[0.5, 0.5, 0.0]])
+        dp = np.array([[0.1, -0.2, 0.1]])
+        fi, n_suspect = metrology._cfi_rows(p, dp)
+        assert fi[0] == pytest.approx(0.02 + 0.08, abs=1e-15)
         with pytest.warns(RuntimeWarning) as record:
-            fi = classical_fisher(dist)
-        assert fi == pytest.approx(0.02 + 0.08, abs=1e-15)
+            metrology._warn_suspects(n_suspect)
         assert len(record) == 1
         assert str(record[0].message).startswith(f"1 outcome(s) with p <= {P_FLOOR}")
 
@@ -174,21 +173,15 @@ class TestSweep:
         cfg = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95))
         pnr = _pnr()
         h = 1e-5
+        series = outcome_series(
+            InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff), pnr, pnr
+        )
         for th in (0.4, 1.3, 2.7):
-            dist = outcome_distribution(
-                InterferometerConfig(cfg.squeezing, cfg.loss, th, cfg.cutoff), pnr, pnr
-            )
-            pp = outcome_distribution(
-                InterferometerConfig(cfg.squeezing, cfg.loss, th + h, cfg.cutoff), pnr, pnr
-            ).probs
-            pm = outcome_distribution(
-                InterferometerConfig(cfg.squeezing, cfg.loss, th - h, cfg.cutoff), pnr, pnr
-            ).probs
-            dp_fd = (pp - pm) / (2 * h)
-            live = dist.probs > P_FLOOR
-            fi_fd = float(np.sum(dp_fd[live] ** 2 / dist.probs[live]))
-            fi = classical_fisher(dist)
-            assert fi == pytest.approx(fi_fd, rel=1e-6)
+            p = series.values(th)
+            dp_fd = (series.values(th + h) - series.values(th - h)) / (2 * h)
+            live = p > P_FLOOR
+            fi_fd = float(np.sum(dp_fd[live] ** 2 / p[live]))
+            assert _cfi_at(cfg, th, pnr, pnr) == pytest.approx(fi_fd, rel=1e-6)
 
     def test_lossless_pnr_max_cfi_approaches_qfi(self):
         cfg = _config(0.3)
@@ -282,8 +275,9 @@ class TestPhaseSeries:
                 series = outcome_series(eng, povm_s, povm_i)
                 p, dp = series.values(thetas), series.derivatives(thetas)
                 for row, th in enumerate(thetas):
-                    pops = np.real(np.diag(eng.sigma4(th))).reshape(d, d)
-                    dpops = np.real(np.diag(eng.dsigma4(th))).reshape(d, d)
+                    sigma4, dsigma4 = dense_sigma4(eng, th)
+                    pops = np.real(np.diag(sigma4)).reshape(d, d)
+                    dpops = np.real(np.diag(dsigma4)).reshape(d, d)
                     assert np.max(np.abs(p[row] - povm_s.theta.T @ pops @ povm_i.theta)) < 1e-12
                     assert np.max(np.abs(dp[row] - povm_s.theta.T @ dpops @ povm_i.theta)) < 1e-12
 
@@ -312,17 +306,18 @@ class TestParityBlocks:
         for eng, thetas in self._random_engines(41):
             par = self._parity(eng.cutoff.dim)
             cross = par[:, None] != par[None, :]
+            signal = signal_photon_numbers(eng.cutoff).astype(float)
             for th in thetas:
-                for gen in ("signal", QFI_GENERATOR):
-                    assert np.max(np.abs(eng.sigma4(th, gen)[cross])) == 0.0
-                    assert np.max(np.abs(eng.dsigma4(th, gen)[cross])) == 0.0
+                for gen in (signal, None):
+                    rho, drho = dense_sigma4(eng, th, gen)
+                    assert np.max(np.abs(rho[cross])) == 0.0
+                    assert np.max(np.abs(drho[cross])) == 0.0
 
     def test_block_sum_matches_full_qfi(self):
         for eng, thetas in self._random_engines(42):
             par = self._parity(eng.cutoff.dim)
             for th in thetas:
-                rho = eng.sigma4(th, QFI_GENERATOR)
-                drho = eng.dsigma4(th, QFI_GENERATOR)
+                rho, drho = dense_sigma4(eng, th)
                 full = quantum_fisher_mixed(rho, drho)
                 blocks = sum(
                     quantum_fisher_mixed(rho[np.ix_(b, b)], drho[np.ix_(b, b)])
@@ -337,10 +332,7 @@ class TestParityBlocks:
         cfg = _config(0.35, loss, max_photons=7)
         rep = sweep_fisher(cfg, grid, _pnr(7), _pnr(7))
         eng = InterferometerEngine(cfg.squeezing, loss, cfg.cutoff)
-        dense = [
-            quantum_fisher_mixed(eng.sigma4(th, QFI_GENERATOR), eng.dsigma4(th, QFI_GENERATOR))
-            for th in grid
-        ]
+        dense = [quantum_fisher_mixed(*dense_sigma4(eng, th)) for th in grid]
         assert rep.qfi == pytest.approx(dense, rel=1e-10)
 
 
@@ -362,24 +354,12 @@ class TestParityBlockSeries:
                     eng = InterferometerEngine(
                         SqueezingParams(z), LossModel(*etas), FockCutoff(max_photons)
                     )
-                    for gen in ("signal", QFI_GENERATOR):
-                        series = eng.parity_block_series(gen)
-                        for th in rng.uniform(-math.pi, 3 * math.pi, 2):
-                            rho, drho = eng.sigma4(th, gen), eng.dsigma4(th, gen)
-                            for block, b in zip(series, eng.parity_blocks):
-                                got, dgot = block.at(th)
-                                assert np.max(np.abs(got - rho[np.ix_(b, b)])) < 1e-12
-                                assert np.max(np.abs(dgot - drho[np.ix_(b, b)])) < 1e-12
-
-    def test_lossy_sweep_builds_no_dense_sigma4(self, monkeypatch):
-        def dense(self, theta, generator="signal"):
-            raise AssertionError("dense sigma4 evaluated in a sweep")
-
-        monkeypatch.setattr(InterferometerEngine, "sigma4", dense)
-        monkeypatch.setattr(InterferometerEngine, "dsigma4", dense)
-        cfg = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95), max_photons=6)
-        rep = sweep_fisher(cfg, default_phase_grid(8), _pnr(6), _pnr(6))
-        assert np.all(rep.qfi > 0.0)
+                    for th in rng.uniform(-math.pi, 3 * math.pi, 2):
+                        rho, drho = dense_sigma4(eng, th)
+                        for block, b in zip(eng.parity_block_series, eng.parity_blocks):
+                            got, dgot = block.at(th)
+                            assert np.max(np.abs(got - rho[np.ix_(b, b)])) < 1e-12
+                            assert np.max(np.abs(dgot - drho[np.ix_(b, b)])) < 1e-12
 
     def test_cfi_bounded_by_qfi_on_random_lossy_configs(self):
         rng = np.random.default_rng(808)
@@ -411,8 +391,8 @@ class TestMirrorSymmetry:
     def _dense_qfi(eng, th):
         # oracle: the dense per-phase state, pure when nothing is lost
         if eng.is_pure:
-            return quantum_fisher_pure(eng.psi3(th, QFI_GENERATOR), eng.dpsi3(th, QFI_GENERATOR))
-        return quantum_fisher_mixed(eng.sigma4(th, QFI_GENERATOR), eng.dsigma4(th, QFI_GENERATOR))
+            return quantum_fisher_pure(eng.psi3(th), eng.dpsi3(th))
+        return quantum_fisher_mixed(*dense_sigma4(eng, th))
 
     @staticmethod
     def _cfi(series, th):

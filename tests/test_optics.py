@@ -9,29 +9,46 @@ import pytest
 from tmsvfisher import (
     ConfigError,
     FockCutoff,
-    InterferometerConfig,
     LossModel,
     SqueezingParams,
-    TwoModeState,
-    analytic_phase_derivative,
-    beam_splitter_unitary,
-    evolve_pipeline,
-    loss_channel,
-    phase_shifter,
-    tmsv_state,
 )
-from tmsvfisher.fock import mode_number_operator, partial_trace, signal_photon_numbers, tensor
+from tmsvfisher.fock import signal_photon_numbers
 from tmsvfisher import optics
-from tmsvfisher.optics import InterferometerEngine, loss_kraus_operators, tmsv_tail_bound
+from tmsvfisher.optics import InterferometerEngine, _apply_loss, loss_superoperator, tmsv_state
 
-from conftest import binomial_loss_matrix, bs_expm, random_density, tmsv_vector
+from conftest import (
+    binomial_loss_matrix,
+    bs_expm,
+    dense_sigma3,
+    dense_sigma4,
+    difference_generator,
+    loss_via_ancilla,
+    random_density,
+    series_sigma4,
+    tmsv_vector,
+)
+
+
+def _loss(rho, d, mode, eta):
+    """The library's loss superoperator on one mode of a joint density operator."""
+    L = loss_superoperator(eta, d)
+    return _apply_loss(rho, d, L_s=L) if mode == "s" else _apply_loss(rho, d, L_i=L)
+
+
+def _pure(amps):
+    v = amps.ravel()
+    return np.outer(v, v.conj())
 
 
 def _kraus_oracle(rho, eta, d, mode):
-    """Loss on one mode as the explicit sum over the Kraus list, two einsums each."""
+    """Loss on one mode as the explicit sum over the Kraus list
+    K_l[n - l, n] = sqrt(C(n, l) eta^(n - l) (1 - eta)^l), two einsums each."""
     r = rho.reshape(d, d, d, d)  # (s, i, s', i')
     out = np.zeros_like(r)
-    for K in loss_kraus_operators(eta, FockCutoff(d - 1)):
+    for l in range(d):
+        K = np.zeros((d, d), dtype=complex)
+        for n in range(l, d):
+            K[n - l, n] = math.sqrt(math.comb(n, l) * eta ** (n - l) * (1.0 - eta) ** l)
         if mode == "s":
             t = np.einsum("xa,abcd->xbcd", K, r)
             out += np.einsum("xbcd,yc->xbyd", t, K.conj())
@@ -66,29 +83,29 @@ class TestSqueezingParams:
 
 class TestTmsvState:
     def test_zero_squeezing_is_vacuum(self, cutoff6):
-        v = tmsv_state(0.0, cutoff6).vector.ravel()
+        v = tmsv_state(0.0, cutoff6).ravel()
         assert v[0] == 1.0
         assert np.count_nonzero(v) == 1
 
     def test_amplitudes(self, cutoff10):
         z = 0.5
-        v = tmsv_state(z, cutoff10).vector
+        v = tmsv_state(z, cutoff10)
         assert v[2, 2] == pytest.approx(np.sqrt(0.75) * 0.25)
         assert v[1, 2] == 0.0
 
     def test_matches_oracle_vector(self, cutoff6):
-        v = tmsv_state(0.3, cutoff6).vector.ravel()
+        v = tmsv_state(0.3, cutoff6).ravel()
         assert np.max(np.abs(v - tmsv_vector(0.3, cutoff6.dim))) < 1e-15
 
 
 class TestBeamSplitter:
     def test_identity_at_full_transmission(self, cutoff6):
-        U = beam_splitter_unitary(1.0, cutoff6).matrix
+        U = optics._bs_matrix(1.0, cutoff6.max_photons)
         assert np.max(np.abs(U - np.eye(cutoff6.joint_dim))) < 1e-12
 
     def test_hong_ou_mandel(self, cutoff6):
         d = cutoff6.dim
-        U = beam_splitter_unitary(0.5, cutoff6).matrix
+        U = optics._bs_matrix(0.5, cutoff6.max_photons)
         inp = np.zeros(d * d)
         inp[1 * d + 1] = 1.0
         out = U @ inp
@@ -98,20 +115,20 @@ class TestBeamSplitter:
 
     def test_single_photon_split(self, cutoff6):
         d = cutoff6.dim
-        U = beam_splitter_unitary(0.5, cutoff6).matrix
+        U = optics._bs_matrix(0.5, cutoff6.max_photons)
         out = U @ np.eye(d * d)[1 * d + 0]
         assert abs(out[1 * d + 0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert abs(out[0 * d + 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_unitarity(self, cutoff10):
         for eta in (0.1, 0.5, 0.926):
-            U = beam_splitter_unitary(eta, cutoff10).matrix
+            U = optics._bs_matrix(eta, cutoff10.max_photons)
             err = np.max(np.abs(U.conj().T @ U - np.eye(cutoff10.joint_dim)))
             assert err < 1e-10
 
     def test_block_structure_total_photon_number(self, cutoff6):
         d = cutoff6.dim
-        U = beam_splitter_unitary(0.3, cutoff6).matrix
+        U = optics._bs_matrix(0.3, cutoff6.max_photons)
         tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
         off_block = U[tot[:, None] != tot[None, :]]
         assert np.max(np.abs(off_block)) == 0.0
@@ -125,7 +142,7 @@ class TestBeamSplitter:
             cutoff = FockCutoff(max_photons)
             ph = np.array([1, 1j, -1, -1j])[signal_photon_numbers(cutoff) % 4]
             for eta in (0.3, 0.5):
-                U = beam_splitter_unitary(eta, cutoff).matrix
+                U = optics._bs_matrix(eta, max_photons)
                 R = ph.conj()[:, None] * U * ph.conj()[None, :]
                 assert np.max(np.abs(R.imag)) == 0.0
 
@@ -133,7 +150,7 @@ class TestBeamSplitter:
         # compare against scipy expm at a larger internal cutoff so the
         # oracle's own truncation error stays in the tail
         d_small, d_big = 5, 12
-        U_lib = beam_splitter_unitary(0.5, FockCutoff(d_small - 1)).matrix
+        U_lib = optics._bs_matrix(0.5, d_small - 1)
         U_big = bs_expm(0.5, d_big)
         for ns in range(d_small):
             for ni in range(d_small):
@@ -142,31 +159,6 @@ class TestBeamSplitter:
                 col_big = U_big[:, ns * d_big + ni].reshape(d_big, d_big)
                 col_lib = U_lib[:, ns * d_small + ni].reshape(d_small, d_small)
                 assert np.max(np.abs(col_big[:d_small, :d_small] - col_lib)) < 1e-10
-
-    def test_invalid_transmissivity(self, cutoff6):
-        with pytest.raises(ConfigError):
-            beam_splitter_unitary(1.5, cutoff6)
-
-
-class TestPhaseShifter:
-    def test_zero_phase_is_identity(self, cutoff6):
-        P = phase_shifter(0.0, "s", cutoff6).matrix
-        assert np.max(np.abs(P - np.eye(cutoff6.joint_dim))) < 1e-15
-
-    def test_pi_on_single_photon(self, cutoff6):
-        d = cutoff6.dim
-        P = phase_shifter(np.pi, "s", cutoff6).matrix
-        assert P[1 * d, 1 * d] == pytest.approx(-1.0)
-
-    def test_half_pi_on_two_photons(self, cutoff6):
-        d = cutoff6.dim
-        P = phase_shifter(np.pi / 2, "i", cutoff6).matrix
-        assert P[2, 2] == pytest.approx(np.exp(1j * np.pi), abs=1e-12)
-
-
-    def test_unknown_mode_rejected(self, cutoff6):
-        with pytest.raises(ConfigError, match="mode must be 's' or 'i'"):
-            phase_shifter(0.3, "x", cutoff6)
 
 
 class TestBinomialPopulationMatrix:
@@ -188,33 +180,31 @@ class TestLossChannel:
     def test_eta_one_is_identity(self, cutoff6):
         rng = np.random.default_rng(5)
         rho = random_density(rng, cutoff6.joint_dim)
-        state = TwoModeState.density(rho, cutoff6)
-        out = loss_channel(state, "s", 1.0)
-        assert np.max(np.abs(out.rho - rho)) < 1e-14
+        out = _loss(rho, cutoff6.dim, "s", 1.0)
+        assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_eta_zero_empties_mode(self, cutoff6):
-        state = tmsv_state(0.5, cutoff6)
-        out = loss_channel(state, "s", 0.0)
-        marg = partial_trace(out.rho, cutoff6, "i")
-        tail = tmsv_tail_bound(0.5, cutoff6.max_photons)
-        assert marg[0, 0].real == pytest.approx(1.0, abs=2 * tail)
+        d = cutoff6.dim
+        out = _loss(_pure(tmsv_state(0.5, cutoff6)), d, "s", 0.0)
+        pops = np.real(np.diag(out)).reshape(d, d)
+        tail = 0.5 ** (2 * (cutoff6.max_photons + 1))  # pair mass beyond the cutoff
+        assert pops[0].sum() == pytest.approx(1.0, abs=2 * tail)
 
     def test_single_photon_binomial(self, cutoff6):
         d = cutoff6.dim
         v = np.zeros((d, d))
         v[1, 0] = 1.0  # |1, 0>
         eta = 0.7
-        out = loss_channel(TwoModeState.pure(v, cutoff6), "s", eta)
-        marg = partial_trace(out.rho, cutoff6, "i")
-        assert marg[0, 0].real == pytest.approx(1 - eta, abs=1e-12)
-        assert marg[1, 1].real == pytest.approx(eta, abs=1e-12)
+        pops = np.real(np.diag(_loss(_pure(v), d, "s", eta))).reshape(d, d)
+        assert pops[0].sum() == pytest.approx(1 - eta, abs=1e-12)
+        assert pops[1].sum() == pytest.approx(eta, abs=1e-12)
 
     def test_mean_photons_scaled_exactly(self, cutoff6):
-        state = tmsv_state(0.4, cutoff6)
-        n_op = mode_number_operator(cutoff6, "s")
-        before = np.trace(state.to_density_matrix() @ n_op).real
-        out = loss_channel(state, "s", 0.6)
-        after = np.trace(out.rho @ n_op).real
+        d = cutoff6.dim
+        rho = _pure(tmsv_state(0.4, cutoff6))
+        n_s = signal_photon_numbers(cutoff6)
+        before = np.real(np.diag(rho)) @ n_s
+        after = np.real(np.diag(_loss(rho, d, "s", 0.6))) @ n_s
         assert after == pytest.approx(0.6 * before, abs=1e-10)
 
     def test_kraus_vs_ancilla_on_random_states(self, cutoff6):
@@ -222,20 +212,19 @@ class TestLossChannel:
         for eta in (0.0, 0.25, 0.5, 0.8, 1.0):
             for _ in range(3):
                 rho = random_density(rng, cutoff6.joint_dim)
-                state = TwoModeState.density(rho, cutoff6)
                 for mode in ("s", "i"):
-                    a = loss_channel(state, mode, eta, method="kraus").rho
-                    b = loss_channel(state, mode, eta, method="ancilla").rho
+                    a = _loss(rho, cutoff6.dim, mode, eta)
+                    b = loss_via_ancilla(rho, cutoff6.dim, mode, eta)
                     assert np.max(np.abs(a - b)) < 1e-12
 
     def test_populations_match_binomial_oracle(self, cutoff6):
         d = cutoff6.dim
-        state = tmsv_state(0.5, cutoff6)
+        amps = tmsv_state(0.5, cutoff6)
         eta = 0.8
-        out = loss_channel(state, "s", eta)
-        pops = np.real(np.diag(out.rho)).reshape(d, d)
+        out = _loss(_pure(amps), d, "s", eta)
+        pops = np.real(np.diag(out)).reshape(d, d)
         B = binomial_loss_matrix(eta, d)
-        expected = B @ np.abs(state.vector) ** 2
+        expected = B @ np.abs(amps) ** 2
         assert np.max(np.abs(pops - expected)) < 1e-12
 
     def test_superoperator_matches_kraus_sum_oracle(self):
@@ -244,32 +233,32 @@ class TestLossChannel:
             c = FockCutoff(max_photons)
             for eta in (0.0, 1.0, *rng.random(3)):
                 rho = random_density(rng, c.joint_dim)
-                state = TwoModeState.density(rho, c)
                 for mode in ("s", "i"):
-                    got = loss_channel(state, mode, eta, method="kraus").rho
+                    got = _loss(rho, c.dim, mode, eta)
                     want = _kraus_oracle(rho, eta, c.dim, mode)
                     assert np.max(np.abs(got - want)) < 1e-14, (max_photons, eta, mode)
 
     def test_trace_and_hermiticity_preserved(self, cutoff6):
         rng = np.random.default_rng(7)
         rho = random_density(rng, cutoff6.joint_dim)
-        out = loss_channel(TwoModeState.density(rho, cutoff6), "i", 0.33).rho
+        out = _loss(rho, cutoff6.dim, "i", 0.33)
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
 class TestEvolvePipeline:
+    """The dense per-phase state (conftest's dense_sigma4) built on the
+    engine's sigma2, A and detection loss."""
+
     def test_vacuum_in_vacuum_out(self, cutoff6):
-        cfg = InterferometerConfig(
-            SqueezingParams(0.0), LossModel.symmetric(0.7), 0.3, cutoff6
-        )
-        rho = evolve_pipeline(cfg).rho
+        eng = InterferometerEngine(SqueezingParams(0.0), LossModel.symmetric(0.7), cutoff6)
+        rho = dense_sigma4(eng, 0.3)[0]
         assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_lossless_is_rank_one_and_even_parity(self, cutoff6):
         d = cutoff6.dim
-        cfg = InterferometerConfig(SqueezingParams(0.3), LossModel(), 0.0, cutoff6)
-        rho = evolve_pipeline(cfg).rho
+        eng = InterferometerEngine(SqueezingParams(0.3), LossModel(), cutoff6)
+        rho = dense_sigma4(eng, 0.0)[0]
         lam = np.linalg.eigvalsh(rho)
         assert lam[-1] >= (1 - 1e-9) * np.trace(rho).real
         pops = np.real(np.diag(rho)).reshape(d, d)
@@ -286,8 +275,8 @@ class TestEvolvePipeline:
         ns = np.repeat(np.arange(d), d)
         P = np.diag(np.exp(1j * theta * ns))
         psi = U @ P @ U @ tmsv_vector(z, d)
-        cfg = InterferometerConfig(SqueezingParams(z), LossModel(), theta, c)
-        rho = evolve_pipeline(cfg).rho
+        eng = InterferometerEngine(SqueezingParams(z), LossModel(), c)
+        rho = dense_sigma4(eng, theta)[0]
         p11_oracle = abs(psi[1 * d + 1]) ** 2
         assert rho[1 * d + 1, 1 * d + 1].real == pytest.approx(p11_oracle, abs=1e-8)
 
@@ -296,10 +285,10 @@ class TestEvolvePipeline:
         loss = LossModel(0.6, 0.9, 1.0, 1.0)
         eng = InterferometerEngine(SqueezingParams(z), loss, cutoff6)
         n_bar_arm = SqueezingParams(z).mean_photons / 2
-        for mode, eta in (("s", 0.6), ("i", 0.9)):
-            n_op = mode_number_operator(cutoff6, mode)
-            got = np.trace(eng.sigma2 @ n_op).real
-            tail = tmsv_tail_bound(z, cutoff6.max_photons)
+        pops = np.real(np.diag(eng.sigma2)).reshape(cutoff6.dim, cutoff6.dim)
+        n = np.arange(cutoff6.dim)
+        tail = z ** (2 * (cutoff6.max_photons + 1))  # pair mass beyond the cutoff
+        for got, eta in ((pops.sum(axis=1) @ n, 0.6), (pops.sum(axis=0) @ n, 0.9)):
             assert abs(got - eta * n_bar_arm) < 10 * tail + 1e-10
 
     def test_relabeling_symmetry(self, cutoff6):
@@ -315,25 +304,21 @@ class TestEvolvePipeline:
 
 
 class TestAnalyticDerivative:
+    """dsigma4 of the parity-block series, the derivative the QFI reads."""
+
     def test_zero_for_vacuum(self, cutoff6):
-        cfg = InterferometerConfig(SqueezingParams(0.0), LossModel(), 0.4, cutoff6)
-        assert np.max(np.abs(analytic_phase_derivative(cfg))) < 1e-14
+        eng = InterferometerEngine(SqueezingParams(0.0), LossModel(), cutoff6)
+        assert np.max(np.abs(series_sigma4(eng, 0.4)[1])) < 1e-14
 
     def test_traceless(self, cutoff6):
-        cfg = InterferometerConfig(
-            SqueezingParams(0.4), LossModel.symmetric(0.8), 0.9, cutoff6
-        )
-        assert abs(np.trace(analytic_phase_derivative(cfg))) < 1e-12
+        eng = InterferometerEngine(SqueezingParams(0.4), LossModel.symmetric(0.8), cutoff6)
+        assert abs(np.trace(series_sigma4(eng, 0.9)[1])) < 1e-12
 
     def test_matches_finite_differences(self, cutoff6):
-        cfg = InterferometerConfig(
-            SqueezingParams(0.4), LossModel(0.9, 0.8, 0.85, 0.95), 0.6, cutoff6
-        )
-        dsig = analytic_phase_derivative(cfg)
-        h = 1e-5
-        plus = evolve_pipeline(cfg.with_phase(cfg.phase + h)).rho
-        minus = evolve_pipeline(cfg.with_phase(cfg.phase - h)).rho
-        fd = (plus - minus) / (2 * h)
+        eng = InterferometerEngine(SqueezingParams(0.4), LossModel(0.9, 0.8, 0.85, 0.95), cutoff6)
+        theta, h = 0.6, 1e-5
+        dsig = series_sigma4(eng, theta)[1]
+        fd = (series_sigma4(eng, theta + h)[0] - series_sigma4(eng, theta - h)[0]) / (2 * h)
         scale = np.max(np.abs(dsig))
         assert np.max(np.abs(dsig - fd)) / scale < 1e-6
 
@@ -346,7 +331,7 @@ class TestEngineInternals:
         )
         theta = 1.1
         pops = eng.populations(theta)
-        diag = np.real(np.diag(eng.sigma4(theta))).reshape(d, d)
+        diag = np.real(np.diag(dense_sigma4(eng, theta)[0])).reshape(d, d)
         assert np.max(np.abs(pops - diag)) < 1e-12
 
     def test_generators_agree_on_populations(self, cutoff6):
@@ -355,8 +340,9 @@ class TestEngineInternals:
             SqueezingParams(0.3), LossModel.symmetric(0.85), cutoff6
         )
         theta = 0.8
-        a = np.real(np.diag(eng.sigma4(theta, "signal"))).reshape(d, d)
-        b = np.real(np.diag(eng.sigma4(theta, "difference"))).reshape(d, d)
+        signal = signal_photon_numbers(cutoff6).astype(float)
+        a = np.real(np.diag(dense_sigma4(eng, theta, signal)[0])).reshape(d, d)
+        b = np.real(np.diag(dense_sigma4(eng, theta)[0])).reshape(d, d)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_sigma4_matches_kraus_sum_oracle(self):
@@ -372,31 +358,15 @@ class TestEngineInternals:
             psi = tmsv_vector(z, d)
             rho = np.outer(psi, psi).astype(complex)
             rho = _kraus_oracle(_kraus_oracle(rho, etas[0], d, "s"), etas[1], d, "i")
-            U = beam_splitter_unitary(0.5, c).matrix
-            W = U @ np.diag(np.exp(1j * theta * np.repeat(np.arange(d), d))) @ U
+            U = optics._bs_matrix(0.5, max_photons)
+            W = U @ np.diag(np.exp(1j * theta * difference_generator(d))) @ U
             sigma3 = W @ rho @ W.conj().T
+            sigma4, dsigma4 = dense_sigma4(eng, theta)
             want = _kraus_oracle(_kraus_oracle(sigma3, etas[2], d, "s"), etas[3], d, "i")
-            assert np.max(np.abs(eng.sigma4(theta) - want)) < 1e-14
-            dwant = eng.dsigma3(theta)
+            assert np.max(np.abs(sigma4 - want)) < 1e-14
+            dwant = dense_sigma3(eng, theta)[1]
             dwant = _kraus_oracle(_kraus_oracle(dwant, etas[2], d, "s"), etas[3], d, "i")
-            assert np.max(np.abs(eng.dsigma4(theta) - dwant)) < 1e-14
-
-    def test_engine_path_builds_no_kraus_operators(self, cutoff6, monkeypatch):
-        calls = []
-        original = optics.loss_kraus_operators
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(optics, "loss_kraus_operators", counting)
-        eng = InterferometerEngine(
-            SqueezingParams(0.3), LossModel(0.9, 0.8, 0.7, 0.95), cutoff6
-        )
-        eng.population_series
-        eng.sigma4(0.4)
-        eng.dsigma4(0.4)
-        assert calls == []
+            assert np.max(np.abs(dsigma4 - dwant)) < 1e-14
 
     def test_pair_sector_series_matches_dense_sigma4(self):
         # oracle: diag of the dense per-phase sigma4 and dsigma4; z up to 0.85
@@ -418,8 +388,9 @@ class TestEngineInternals:
                 same_n = (N[:, None] == N[None, :]) & ~np.eye(d * d, dtype=bool)
                 assert np.max(np.abs(sigma2[same_n]), initial=0.0) < 1e-15
                 for th in rng.uniform(0.0, 2 * np.pi, 2):
-                    want = np.real(np.diag(eng.sigma4(th))).reshape(d, d)
-                    dwant = np.real(np.diag(eng.dsigma4(th))).reshape(d, d)
+                    sigma4, dsigma4 = dense_sigma4(eng, th)
+                    want = np.real(np.diag(sigma4)).reshape(d, d)
+                    dwant = np.real(np.diag(dsigma4)).reshape(d, d)
                     assert np.max(np.abs(eng.populations(th) - want)) < 1e-12
                     assert np.max(np.abs(eng.dpopulations(th) - dwant)) < 1e-12
 
