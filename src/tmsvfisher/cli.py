@@ -38,6 +38,7 @@ from .metrology import (
     pnr_click_ratio,
     sub_snl_fraction,
     sweep_fisher,
+    write_csv,
 )
 from .optics import InterferometerConfig, LossModel, SqueezingParams
 
@@ -65,14 +66,17 @@ def _parse_pair(text, name):
 
 
 def _check_output_dir(args):
-    """Fail before any work when the directory an output goes into is missing."""
+    """Fail before any work when the directory an output goes into is missing,
+    or when --out names a directory rather than a file."""
     for name in ("out", "out_prefix", "out_dir"):
         path = getattr(args, name, None)
         if path is None:
             continue
+        field = name.replace("_", "-")
+        if name == "out" and os.path.isdir(path):
+            raise ConfigError(f"output file {path!r} is a directory (field: {field})")
         directory = path if name == "out_dir" else os.path.dirname(path)
         if directory and not os.path.isdir(directory):
-            field = name.replace("_", "-")
             raise ConfigError(f"output directory {directory!r} does not exist (field: {field})")
 
 
@@ -142,18 +146,6 @@ def _provenance(opts, seed=None):
         {k: str(v) for k, v in meta.items()}
     )
     return meta
-
-
-def _write_csv(path, meta, header, rows):
-    with open(path, "w") as fh:
-        for k in sorted(meta):
-            fh.write(f"# {k}={meta[k]}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
-                + "\n"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +218,22 @@ def cmd_loss_scan(args):
                 sub_snl_fraction(rep_click, "cfi"),
             )
         )
-    _write_csv(
+    write_csv(
         os.path.join(args.out_dir, "fi_vs_loss.csv"),
         meta,
         "loss,max_cfi_pnr_per_photon,max_cfi_click_per_photon,max_qfi_per_photon,"
         "subsnl_pnr,subsnl_click",
-        rows,
+        list(zip(*rows)),
     )
 
     scan = pnr_click_ratio(
         nbar_grid, LossModel.symmetric(1.0 - args.scan_loss), cutoff, n_max=n_max
     )
-    _write_csv(
+    write_csv(
         os.path.join(args.out_dir, "ratio_vs_nbar.csv"),
         meta,
         "n_bar,max_cfi_pnr,max_cfi_click,ratio",
-        list(zip(scan["n_bar"], scan["max_cfi_pnr"], scan["max_cfi_click"], scan["ratio"])),
+        [scan["n_bar"], scan["max_cfi_pnr"], scan["max_cfi_click"], scan["ratio"]],
     )
 
     sub_rows = []
@@ -255,11 +247,11 @@ def cmd_loss_scan(args):
         rep_p = sweep_fisher(cfg, grid, pnr, pnr, compute_qfi=False)
         rep_c = sweep_fisher(cfg, grid, click, click, compute_qfi=False)
         sub_rows.append((nb, sub_snl_fraction(rep_p), sub_snl_fraction(rep_c)))
-    _write_csv(
+    write_csv(
         os.path.join(args.out_dir, "subsnl_vs_nbar.csv"),
         meta,
         "n_bar,subsnl_pnr,subsnl_click",
-        sub_rows,
+        list(zip(*sub_rows)),
     )
     print(f"wrote fi_vs_loss.csv, ratio_vs_nbar.csv, subsnl_vs_nbar.csv in {args.out_dir}")
     return EXIT_OK
@@ -361,15 +353,7 @@ def cmd_bootstrap(args):
         {"resamples": args.resamples, "level": args.level, "cutoff": args.cutoff},
         seed=args.seed,
     )
-    _write_csv(
-        args.out,
-        meta,
-        "phase,cfi_lo,cfi_hi",
-        [
-            (float(hist.phases[i]), float(band["lo"][i]), float(band["hi"][i]))
-            for i in range(hist.phases.size)
-        ],
-    )
+    write_csv(args.out, meta, "phase,cfi_lo,cfi_hi", [hist.phases, band["lo"], band["hi"]])
     print(f"wrote {args.out} ({args.resamples} resamples at level {args.level})")
     return EXIT_OK
 

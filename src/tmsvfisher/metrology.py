@@ -63,17 +63,19 @@ def _cfi_rows(p, dp):
     """Sum (dp)^2/p over outcomes with p > P_FLOOR, for each row of a
     (rows, outcomes) batch such as one row per phase.
 
-    Returns (fi per row, n_suspect) where n_suspect counts outcomes, over all
-    rows, with p <= P_FLOOR but |dp| > DP_FLOOR (near-singular contributions
-    that were skipped).
+    Returns (fi per row, n_suspect per row) where n_suspect counts the row's
+    outcomes with p <= P_FLOOR but |dp| > DP_FLOOR (near-singular
+    contributions that were skipped).
     """
     live = p > P_FLOOR
     fi = np.sum(np.where(live, dp * dp / np.where(live, p, 1.0), 0.0), axis=1)
-    n_suspect = int(np.count_nonzero(~live & (np.abs(dp) > DP_FLOOR)))
+    n_suspect = np.count_nonzero(~live & (np.abs(dp) > DP_FLOOR), axis=1)
     return fi, n_suspect
 
 
-def _warn_suspects(n_suspect: int):
+def _warn_suspects(n_suspect):
+    """One warning for the total of the per-row near-singular counts."""
+    n_suspect = int(np.sum(n_suspect))
     if n_suspect:
         warnings.warn(
             f"{n_suspect} outcome(s) with p <= {P_FLOOR} but |dp| > {DP_FLOOR}; "
@@ -82,20 +84,19 @@ def _warn_suspects(n_suspect: int):
         )
 
 
-def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, int, float]:
+def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-phase CFI of an outcome series over a phase grid, PHASE_BLOCK phases
-    per product; also returns the near-singular outcome count over the grid
-    and the largest |sum of dp over outcomes| at any of its phases."""
+    per product; also returns the per-phase near-singular outcome counts and
+    the largest |sum of dp over outcomes| at any of its phases."""
     grid = np.asarray(grid, dtype=float).ravel()
     cfi = np.empty(grid.size)
-    n_suspect = 0
+    n_suspect = np.empty(grid.size, dtype=int)
     dsum = 0.0
     for lo in range(0, grid.size, PHASE_BLOCK):
         block = grid[lo : lo + PHASE_BLOCK]
         p = series.values(block).reshape(block.size, -1)
         dp = series.derivatives(block).reshape(block.size, -1)
-        cfi[lo : lo + block.size], n_bad = _cfi_rows(p, dp)
-        n_suspect += n_bad
+        cfi[lo : lo + block.size], n_suspect[lo : lo + block.size] = _cfi_rows(p, dp)
         dsum = max(dsum, float(np.max(np.abs(dp.sum(axis=1)))))
     return cfi, n_suspect, dsum
 
@@ -155,31 +156,66 @@ class FisherReport:
         return self.qfi / self.snl if self.snl > 0 else np.full_like(self.qfi, np.nan)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            for k in sorted(self.metadata):
-                fh.write(f"# {k}={self.metadata[k]}\n")
-            fh.write("phase,cfi,qfi,snl,cfi_per_photon,qfi_per_photon\n")
-            qfi = self.qfi if self.qfi is not None else np.full_like(self.cfi, np.nan)
-            cpp = self.cfi_per_photon
-            qpp = self.qfi_per_photon
-            qpp = qpp if qpp is not None else np.full_like(self.cfi, np.nan)
-            for i, th in enumerate(self.phase_grid):
-                fh.write(
-                    f"{float(th)!r},{float(self.cfi[i])!r},{float(qfi[i])!r},"
-                    f"{float(self.snl)!r},{float(cpp[i])!r},{float(qpp[i])!r}\n"
-                )
+        no_qfi = self.qfi is None
+        write_csv(
+            path,
+            self.metadata,
+            "phase,cfi,qfi,snl,cfi_per_photon,qfi_per_photon",
+            [
+                self.phase_grid,
+                self.cfi,
+                math.nan if no_qfi else self.qfi,
+                self.snl,
+                self.cfi_per_photon,
+                math.nan if no_qfi else self.qfi_per_photon,
+            ],
+        )
 
     def to_json(self, path):
-        payload = {
-            "metadata": self.metadata,
-            "snl": self.snl,
-            "phase_grid": [float(x) for x in self.phase_grid],
-            "cfi": [float(x) for x in self.cfi],
-            "qfi": None if self.qfi is None else [float(x) for x in self.qfi],
+        """The layout of json.dump(payload, sort_keys=True, indent=2), with the
+        float arrays encoded by json's C encoder."""
+        fields = {
+            "cfi": _json_floats(self.cfi),
+            # json strings escape newlines, so each newline here starts a line
+            "metadata": json.dumps(self.metadata, sort_keys=True, indent=2).replace(
+                "\n", "\n  "
+            ),
+            "phase_grid": _json_floats(self.phase_grid),
+            "qfi": "null" if self.qfi is None else _json_floats(self.qfi),
+            "snl": json.dumps(self.snl),
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write("{\n  " + ",\n  ".join(f'"{k}": {v}' for k, v in fields.items()) + "\n}\n")
+
+
+def _json_floats(values) -> str:
+    """A float array as an indent=2 json.dump lays it out one level down.
+
+    json.dumps without indent runs the C encoder, and ", " occurs in its
+    output only between elements, since floats print as repr, NaN or Infinity.
+    """
+    text = json.dumps(np.asarray(values, dtype=float).tolist())
+    if text == "[]":
+        return text
+    return "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+
+
+def write_csv(path, metadata: dict, header: str, columns):
+    """Write `# key=value` metadata lines, the header, and one row per entry of
+    the columns, each value as repr(float). A scalar column holds the same
+    value on every row and is formatted once."""
+    n_rows = max(np.size(c) for c in columns)
+    text = [
+        [repr(float(c))] * n_rows
+        if np.ndim(c) == 0
+        else list(map(repr, np.asarray(c, dtype=float).tolist()))
+        for c in columns
+    ]
+    with open(path, "w") as fh:
+        for k in sorted(metadata):
+            fh.write(f"# {k}={metadata[k]}\n")
+        fh.write(header + "\n")
+        fh.write("".join([",".join(row) + "\n" for row in zip(*text)]))
 
 
 def config_fingerprint(payload: dict) -> str:
@@ -219,25 +255,30 @@ def sweep_fisher(
     """Classical (and optionally quantum) Fisher information across a phase grid.
 
     The config's own phase field is ignored; the grid drives the sweep. The CFI
-    comes from the outcome phase series at every phase. The lossy QFI comes
-    from the engine's series of sigma4's two photon-number-parity blocks, with
-    one eigendecomposition per block per evaluated phase.
+    comes from the outcome phase series. The lossy QFI comes from the engine's
+    series of sigma4's two photon-number-parity blocks, with one
+    eigendecomposition per block per evaluated phase.
 
-    The QFI is evaluated once per mirror class of the grid and copied to the
-    class's other phases: the model is symmetric under theta -> -theta, so
+    Both columns are evaluated once per mirror class of the grid and copied to
+    the class's other phases: the model is symmetric under theta -> -theta, so
     phases whose keys min(t, 2 pi - t), t = theta mod 2 pi, agree to within
     MIRROR_TOL share one value, computed at the class's lowest-index phase.
+    The near-singular outcome count is weighted by class size, so it counts
+    every phase of the grid.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
     if phase_grid.size == 0:
         raise ConfigError("phase grid must be nonempty")
     eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    cfi, n_suspect, dsum = _cfi_on_grid(outcome_series(eng, povm_s, povm_i), phase_grid)
-    _warn_suspects(n_suspect)
+    first, label = _mirror_classes(phase_grid)
+    cfi_class, n_suspect, dsum = _cfi_on_grid(
+        outcome_series(eng, povm_s, povm_i), phase_grid[first]
+    )
+    _warn_suspects(n_suspect[label])
     _check_derivative_sum(dsum)
+    cfi = cfi_class[label]
     qfi = None
     if compute_qfi:
-        first, label = _mirror_classes(phase_grid)
         qfi_class = np.empty(first.size)
         for cls, th in enumerate(phase_grid[first]):
             if eng.is_pure:

@@ -6,8 +6,12 @@ generator, loss from explicit binomial matrices, derivatives from central
 finite differences. The dense references (dense_sigma3, dense_sigma4,
 loss_via_ancilla) are the per-phase d^2 x d^2 paths that the library's phase
 series and superoperator loss replaced; they share the engine's fixed parts
-and serve as the tests' oracles.
+and serve as the tests' oracles. The row-by-row writers (loop_report_csv,
+loop_report_json, loop_write_csv) are the report writers that the column-wise
+ones replaced, kept as byte-for-byte oracles.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -123,3 +127,47 @@ def loss_via_ancilla(rho: np.ndarray, d: int, mode: str, eta: float) -> np.ndarr
     U3 = np.kron(_bs_matrix(eta, d - 1), np.eye(d))  # (ancilla, s) coupled, i untouched
     rho3 = U3 @ np.kron(vac, rho) @ U3.conj().T
     return np.einsum("axay->xy", rho3.reshape(d, d * d, d, d * d))
+
+
+def loop_report_csv(report, path):
+    """A FisherReport's CSV, one formatted row per phase."""
+    with open(path, "w") as fh:
+        for k in sorted(report.metadata):
+            fh.write(f"# {k}={report.metadata[k]}\n")
+        fh.write("phase,cfi,qfi,snl,cfi_per_photon,qfi_per_photon\n")
+        qfi = report.qfi if report.qfi is not None else np.full_like(report.cfi, np.nan)
+        cpp = report.cfi_per_photon
+        qpp = report.qfi_per_photon
+        qpp = qpp if qpp is not None else np.full_like(report.cfi, np.nan)
+        for i, th in enumerate(report.phase_grid):
+            fh.write(
+                f"{float(th)!r},{float(report.cfi[i])!r},{float(qfi[i])!r},"
+                f"{float(report.snl)!r},{float(cpp[i])!r},{float(qpp[i])!r}\n"
+            )
+
+
+def loop_report_json(report, path):
+    """A FisherReport's JSON through json.dump's pure-Python indenting encoder."""
+    payload = {
+        "metadata": report.metadata,
+        "snl": report.snl,
+        "phase_grid": [float(x) for x in report.phase_grid],
+        "cfi": [float(x) for x in report.cfi],
+        "qfi": None if report.qfi is None else [float(x) for x in report.qfi],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def loop_write_csv(path, meta, header, rows):
+    """The CLI's table CSV (loss-scan, bootstrap), one formatted row at a time."""
+    with open(path, "w") as fh:
+        for k in sorted(meta):
+            fh.write(f"# {k}={meta[k]}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
+                + "\n"
+            )

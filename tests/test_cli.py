@@ -312,6 +312,10 @@ class TestFit:
           "--out-dir", "{tmp}"), "nbar-grid"),
         (("loss-scan", "--z", 0.15, "--cutoff", 3, "--loss-model", "1,1,a,b",
           "--out-dir", "{tmp}"), "loss-model"),
+        # an --out that names an existing directory cannot be written either
+        (("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 2, "--seed", 1,
+          "--out", "{tmp}"), "out"),
+        (("tomography", "{probes}", "--kmax", 3, "--out", "{tmp}"), "out"),
     ],
 )
 def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypatch,

@@ -32,10 +32,11 @@ from tmsvfisher.metrology import (
     golden_section_max,
     outcome_series,
     shot_noise_limit,
+    write_csv,
 )
 from tmsvfisher.optics import InterferometerEngine
 
-from conftest import dense_sigma4
+from conftest import dense_sigma4, loop_report_csv, loop_report_json, loop_write_csv
 
 
 def _config(z=0.2, loss=None, phase=0.0, max_photons=8):
@@ -457,6 +458,88 @@ class TestMirrorSymmetry:
         assert len(calls) == 2 * 16
 
 
+def _cfi_extended(series, grid):
+    """Per-phase CFI of an outcome series in extended precision: the oracle
+    that both double-precision evaluations are measured against."""
+    w = series.frequencies.astype(np.longdouble)
+    E = np.exp(1j * np.multiply.outer(np.asarray(grid, dtype=np.longdouble), w))
+    c = series.coeffs.reshape(w.size, -1).astype(np.clongdouble)
+    p, dp = (E @ c).real, ((E * (1j * w)) @ c).real
+    live = p > P_FLOOR
+    return np.sum(np.where(live, dp * dp / np.where(live, p, 1.0), 0.0), axis=1).astype(float)
+
+
+class TestMirrorClassCfi:
+    """sweep_fisher evaluates the CFI once per mirror class of its grid."""
+
+    GRIDS = {
+        "default-32": default_phase_grid(32),
+        "default-2047": default_phase_grid(2047),
+        "default-2048": default_phase_grid(2048),
+        "degrees-360": np.deg2rad(np.linspace(0.0, 360.0, 360, endpoint=False)),
+        "no-mirrors": np.random.default_rng(1301).uniform(0.0, 2 * math.pi, 64),
+    }
+
+    @pytest.mark.parametrize("max_photons", [6, 7])
+    @pytest.mark.parametrize("lossless", [True, False])
+    @pytest.mark.parametrize("click", [False, True])
+    def test_matches_every_phase_evaluation(self, max_photons, lossless, click):
+        rng = np.random.default_rng([1302, max_photons, lossless, click])
+        etas = np.ones(4) if lossless else rng.uniform(0.5, 0.99, 4)
+        cfg = _config(rng.uniform(0.05, 0.6), LossModel(*etas), max_photons=max_photons)
+        povm = _pnr(max_photons)
+        if click:
+            povm = click_povm_from(povm)
+        eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
+        series = outcome_series(eng, povm, povm)
+        for name, grid in self.GRIDS.items():
+            first, label = metrology._mirror_classes(grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # theta = 0 is a dark fringe
+                cfi = sweep_fisher(cfg, grid, povm, povm, compute_qfi=False).cfi
+                every = metrology._cfi_on_grid(series, grid)[0]
+            exact = _cfi_extended(series, grid)
+            scale = np.max(exact)
+            # one value per class, taken at the class's evaluated phase
+            assert np.array_equal(cfi, cfi[first][label]), name
+            assert np.max(np.abs(cfi[first] - every[first])) <= 1e-12 * scale, name
+            # the copies are no farther from the series than the every-phase
+            # evaluation is: near p = 0 that one rounds to ~1e-11 on its own
+            err = np.max(np.abs(cfi - exact))
+            assert err <= np.max(np.abs(every - exact)) + 1e-12 * scale, name
+            if name != "no-mirrors":
+                assert np.array_equal(cfi[1:], cfi[:0:-1]), name  # CFI(theta_k) == CFI(theta_{n-k})
+
+    def test_one_cfi_evaluation_per_mirror_class(self, monkeypatch):
+        sizes = []
+        real = metrology._cfi_on_grid
+
+        def counted(series, grid):
+            sizes.append(np.size(grid))
+            return real(series, grid)
+
+        monkeypatch.setattr(metrology, "_cfi_on_grid", counted)
+        cfg = _config(0.3, LossModel.symmetric(0.9), max_photons=5)
+        pnr = _pnr(5)
+        for n in (2, 8, 33, 2048):
+            sweep_fisher(cfg, default_phase_grid(n), pnr, pnr, compute_qfi=False)
+        assert sizes == [2, 5, 17, 1025]
+
+    def test_near_singular_count_covers_every_phase(self):
+        # lossless, within 2e-8 rad of the dark fringe at theta = 0: six phases
+        # in two mirror classes, each with eight near-singular outcomes
+        grid = np.array([1e-8, 2 * math.pi - 1e-8, -2e-8, 2e-8, 0.5, -1e-8, 2 * math.pi - 2e-8])
+        assert metrology._mirror_classes(grid)[0].size == 3
+        cfg = _config(0.3, max_photons=6)
+        pnr = _pnr(6)
+        series = outcome_series(InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff), pnr, pnr)
+        every = int(metrology._cfi_on_grid(series, grid)[1].sum())
+        assert every == 48
+        with pytest.warns(RuntimeWarning, match=rf"^{every} outcome\(s\) with p <=") as rec:
+            sweep_fisher(cfg, grid, pnr, pnr, compute_qfi=False)
+        assert len(rec) == 1
+
+
 class TestSubSnlFraction:
     def test_all_below_gives_zero(self):
         grid = default_phase_grid(1024)
@@ -556,3 +639,69 @@ class TestReportSerialization:
         grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
         rep = sweep_fisher(_config(0.2), grid, _pnr(), _pnr(), compute_qfi=False)
         assert np.allclose(rep.cfi_per_photon, rep.cfi / rep.snl)
+
+
+def _random_floats(rng, n):
+    """Floats over the whole double range, with NaN, +-inf, -0.0, integers and
+    subnormals mixed in."""
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    kind = rng.integers(0, 12, n)
+    x[kind == 0] = np.nan
+    x[kind == 1] = np.inf
+    x[kind == 2] = -np.inf
+    x[kind == 3] = -0.0
+    x[kind == 4] = np.round(x[kind == 4] * 1e-290)
+    x[kind == 5] = 5e-324 * rng.integers(1, 1000, np.count_nonzero(kind == 5))
+    x[kind == 6] = rng.uniform(0.0, 2 * math.pi, np.count_nonzero(kind == 6))
+    return x
+
+
+class TestReportWriters:
+    """The column-wise writers give the bytes of the row-by-row loops."""
+
+    METADATA = [
+        {},
+        {"z": 0.2, "n_bar": 0.0416, "max_photons": 10, "config_hash": "0123abcd"},
+        {"detector_s": "\u03b7=0.8 \u03c8\u2192\u03c6", "n\u00e4me": "\u5024", "emoji": "\U0001f642"},
+        {"note": "two\nlines, \"quoted\"", "grid": [1.0, float("nan")], "nested": {"b": None, "a": True}},
+        {"snl": np.float64(0.1), "eta": float("inf")},
+    ]
+
+    def test_report_files_match_loop_writers(self, tmp_path):
+        rng = np.random.default_rng(1303)
+        snls = [0.0036441, np.float64(0.0416), 0.0, -1.0, float("nan"), np.float64(2.5e-300)]
+        for i in range(150):
+            n = (0, 1, 2, 3, 17, 2047)[i % 6]
+            rep = FisherReport(
+                _random_floats(rng, n),
+                _random_floats(rng, n),
+                None if rng.random() < 0.5 else _random_floats(rng, n),
+                snls[rng.integers(len(snls))],
+                self.METADATA[rng.integers(len(self.METADATA))],
+            )
+            with np.errstate(over="ignore"):  # per-photon columns of huge values
+                rep.to_csv(tmp_path / "new.csv")
+                loop_report_csv(rep, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            rep.to_json(tmp_path / "new.json")
+            loop_report_json(rep, tmp_path / "old.json")
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    def test_table_csv_matches_loop_writer(self, tmp_path):
+        # the CLI's tables: rows of Python floats (loss-scan, bootstrap) and
+        # columns of numpy arrays (the ratio scan)
+        rng = np.random.default_rng(1304)
+        for i in range(60):
+            n, k = (1, 6, 20)[i % 3], int(rng.integers(1, 7))
+            cols = [_random_floats(rng, n) for _ in range(k)]
+            header = ",".join(f"c{j}" for j in range(k))
+            meta = self.METADATA[i % len(self.METADATA)]
+            rows = [tuple(float(x) for x in row) for row in zip(*cols)]
+            loop_write_csv(tmp_path / "old.csv", meta, header, rows)
+            write_csv(tmp_path / "rows.csv", meta, header, list(zip(*rows)))
+            write_csv(tmp_path / "cols.csv", meta, header, cols)
+            loop_write_csv(tmp_path / "old_np.csv", meta, header, list(zip(*cols)))
+            old = (tmp_path / "old.csv").read_bytes()
+            assert (tmp_path / "old_np.csv").read_bytes() == old
+            assert (tmp_path / "rows.csv").read_bytes() == old
+            assert (tmp_path / "cols.csv").read_bytes() == old
