@@ -65,6 +65,16 @@ def _parse_pair(text, name):
     return values[0], values[1]
 
 
+def _size(value, field, default=None):
+    """An integer option of at least 1; the default applies only when it is missing."""
+    value = default if value is None else value
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError(
+            f"{field} must be an integer of at least 1, got {value!r} (field: {field})"
+        )
+    return value
+
+
 def _check_output_dir(args):
     """Fail before any work when the directory an output goes into is missing,
     or when --out names a directory rather than a file."""
@@ -158,15 +168,14 @@ def cmd_sweep(args):
     )
     squeezing = _squeezing_from(opts)
     loss = _loss_from(opts)
-    cutoff = FockCutoff(int(opts.get("cutoff") or 10))
-    n_phases = int(opts.get("phases") or 2048)
-    n_max = int(opts.get("n_max") or cutoff.max_photons)
+    cutoff = FockCutoff(_size(opts.get("cutoff"), "cutoff", 10))
+    n_phases = _size(opts.get("phases"), "phases", 2048)
+    n_max = _size(opts.get("n_max"), "n-max", cutoff.max_photons)
     povm = _detector_from(opts.get("detector"), cutoff, n_max)
     config = InterferometerConfig(squeezing, loss, 0.0, cutoff)
-    grid = default_phase_grid(n_phases)
-    if args.degrees:
-        grid = np.deg2rad(np.linspace(0.0, 360.0, n_phases, endpoint=False))
-    report = sweep_fisher(config, grid, povm, povm, compute_qfi=not args.no_qfi)
+    report = sweep_fisher(
+        config, default_phase_grid(n_phases), povm, povm, compute_qfi=not args.no_qfi
+    )
     report.metadata.update(_provenance(opts))
     out = args.out_prefix
     report.to_csv(f"{out}fisher.csv")
@@ -180,9 +189,9 @@ def cmd_sweep(args):
 def cmd_loss_scan(args):
     opts = _merged(args, ["nbar", "z", "cutoff", "phases", "n_max"])
     squeezing = _squeezing_from(opts)
-    cutoff = FockCutoff(int(opts.get("cutoff") or 10))
-    n_phases = int(opts.get("phases") or 2048)
-    n_max = int(opts.get("n_max") or cutoff.max_photons)
+    cutoff = FockCutoff(_size(opts.get("cutoff"), "cutoff", 10))
+    n_phases = _size(opts.get("phases"), "phases", 2048)
+    n_max = _size(opts.get("n_max"), "n-max", cutoff.max_photons)
     loss_grid = _parse_floats(args.loss_grid, "loss-grid")
     if not loss_grid:
         raise ConfigError("loss grid must be nonempty (field: loss-grid)")
@@ -279,7 +288,7 @@ def cmd_tomography(args):
 
 
 def _load_povms(args, cutoff):
-    n_max = int(getattr(args, "n_max", None) or cutoff.max_photons)
+    n_max = _size(args.n_max, "n-max", cutoff.max_photons)
     povm_s = _detector_from(args.detector_s or args.detector, cutoff, n_max)
     povm_i = _detector_from(args.detector_i or args.detector, cutoff, n_max)
     return povm_s, povm_i
@@ -287,7 +296,7 @@ def _load_povms(args, cutoff):
 
 def cmd_fit(args):
     hist = CountHistogram.from_csv(args.counts)
-    cutoff = FockCutoff(args.cutoff)
+    cutoff = FockCutoff(_size(args.cutoff, "cutoff"))
     povm_s, povm_i = _load_povms(args, cutoff)
     try:
         fixed = json.loads(args.fixed) if args.fixed else {}
@@ -330,7 +339,7 @@ def cmd_bootstrap(args):
     hist = CountHistogram.from_csv(args.counts)
     if args.seed is None:
         raise ConfigError("--seed is mandatory for bootstrap (field: seed)")
-    cutoff = FockCutoff(args.cutoff)
+    cutoff = FockCutoff(_size(args.cutoff, "cutoff"))
     povm_s, povm_i = _load_povms(args, cutoff)
 
     def pipeline(h):
@@ -364,14 +373,16 @@ def cmd_simulate_counts(args):
         raise ConfigError("--seed is mandatory for simulate-counts (field: seed)")
     squeezing = _squeezing_from(opts)
     loss = _loss_from(opts)
-    cutoff = FockCutoff(int(opts.get("cutoff") or 10))
-    n_max = int(opts.get("n_max") or cutoff.max_photons)
+    cutoff = FockCutoff(_size(opts.get("cutoff"), "cutoff", 10))
+    n_max = _size(opts.get("n_max"), "n-max", cutoff.max_photons)
+    n_phases = _size(args.phases, "phases")
+    trials = _size(args.trials, "trials")
     povm = _detector_from(opts.get("detector"), cutoff, n_max)
-    phases = np.linspace(0.0, 2.0 * math.pi, args.phases, endpoint=False)
+    phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
     config = InterferometerConfig(squeezing, loss, 0.0, cutoff)
-    hist = simulate_counts(config, povm, povm, phases, args.trials, args.seed)
+    hist = simulate_counts(config, povm, povm, phases, trials, args.seed)
     hist.to_csv(args.out)
-    print(f"wrote {args.out} ({args.phases} phases x {args.trials} trials)")
+    print(f"wrote {args.out} ({n_phases} phases x {trials} trials)")
     return EXIT_OK
 
 
@@ -403,7 +414,6 @@ def build_parser():
     sp.add_argument("--phases", type=int, help="grid points on [0, 2pi) (default 2048)")
     sp.add_argument("--detector", help="ideal-pnr | click | povm-file:PATH")
     sp.add_argument("--no-qfi", action="store_true", help="skip the QFI column")
-    sp.add_argument("--degrees", action="store_true", help="interpret the grid in degrees")
     sp.add_argument("--out-prefix", default="", help="output filename prefix")
     sp.set_defaults(func=cmd_sweep)
 

@@ -13,9 +13,11 @@ from .fock import FockCutoff
 from .metrology import _sliced_thetas, outcome_series
 from .optics import (
     InterferometerConfig,
-    InterferometerEngine,
     PairSectorMap,
+    binomial_derivative,
     binomial_population_matrix,
+    detection_sides,
+    outcome_probabilities,
     pair_sector_map,
 )
 
@@ -99,8 +101,7 @@ def simulate_counts(
     """Multinomial synthetic counts from the model's joint outcome probabilities."""
     rng = np.random.default_rng(seed)
     phases = np.asarray(phases, dtype=float)
-    eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    probs = outcome_series(eng, povm_s, povm_i).values(phases)
+    probs = outcome_series(config, povm_s, povm_i).values(phases)
     p = np.clip(probs.reshape(phases.size, -1), 0.0, None)
     # the truncation tail is redistributed; negligible at fit scales
     p /= p.sum(axis=1, keepdims=True)
@@ -182,40 +183,17 @@ _ARMIJO = 1e-4
 _PRED_TOL = 1e-13
 
 
-def _binomial_derivative(B):
-    """dB/d(eta) for B = binomial_population_matrix(eta, d), from
-    dB[m, k] = k (B[m - 1, k - 1] - B[m, k - 1]), with B[-1, :] = 0."""
-    prev = np.zeros_like(B)
-    prev[:, 1:] = B[:, :-1]
-    lower = np.zeros_like(B)
-    lower[1:] = prev[:-1]
-    return np.arange(B.shape[1]) * (lower - prev)
-
-
-def _detection_sides(params: dict, ths, thi):
-    """(left, right, d_left, d_right): each arm's detection binomial folded into
-    its POVM slice, and the derivative of each side in its arm's eta_d."""
-    d = ths.shape[0]
-    b_s = binomial_population_matrix(params["eta_d_s"], d)
-    b_i = binomial_population_matrix(params["eta_d_i"], d)
-    return (
-        ths.T @ b_s,
-        b_i.T @ thi,
-        ths.T @ _binomial_derivative(b_s),
-        _binomial_derivative(b_i).T @ thi,
-    )
-
-
 def _probs_and_derivatives(pair_map: PairSectorMap, params: dict, free, ths, thi, sides=None):
     """Outcome probabilities P (phases, n_j, n_k), clipped at 0, and their
     derivatives (len(free), phases, n_j, n_k) in the free natural parameters.
 
-    P = left @ pair_map(q) @ right, with the pair-sector map already evaluated
-    at the phases and q = B(eta_p_s) diag((1 - z^2) z^(2n)) B(eta_p_i)^T the
-    pair distribution (pair_distribution); no engine and no density operator
-    is built. A derivative in z or eta_p is the map applied to that derivative
-    of q; one in eta_d swaps that arm's side for its derivative. sides, if
-    given, is _detection_sides at params' detection efficiencies.
+    P = outcome_probabilities(pair_map, q, left, right), with the pair-sector
+    map already evaluated at the phases and
+    q = B(eta_p_s) diag((1 - z^2) z^(2n)) B(eta_p_i)^T the pair distribution
+    (pair_distribution); no engine and no density operator is built. A
+    derivative in z or eta_p is that product on the derivative of q; one in
+    eta_d swaps that arm's side for its derivative. sides, if given, is
+    detection_sides at params' detection efficiencies.
     """
     d = ths.shape[0]
     n = np.arange(d)
@@ -223,25 +201,27 @@ def _probs_and_derivatives(pair_map: PairSectorMap, params: dict, free, ths, thi
     b_s = binomial_population_matrix(params["eta_p_s"], d)
     b_i = binomial_population_matrix(params["eta_p_i"], d)
     pairs = (1.0 - z * z) * z ** (2 * n)
-    left, right, d_left, d_right = _detection_sides(params, ths, thi) if sides is None else sides
-    pre = pair_map.apply((b_s * pairs) @ b_i.T)
+    if sides is None:
+        sides = detection_sides(params["eta_d_s"], params["eta_d_i"], ths, thi)
+    left, right, d_left, d_right = sides
+    q = (b_s * pairs) @ b_i.T
     derivatives = []
     for name in free:
         if name == "eta_d_s":
-            derivatives.append(d_left @ pre @ right)
+            derivatives.append(outcome_probabilities(pair_map, q, d_left, right))
         elif name == "eta_d_i":
-            derivatives.append(left @ pre @ d_right)
+            derivatives.append(outcome_probabilities(pair_map, q, left, d_right))
         else:
             if name == "z":
                 # d/dz (1 - z^2) z^(2n); the n = 0 term has no z^(2n - 1) part
                 d_pairs = 2 * n * z ** np.maximum(2 * n - 1, 0) - (2 * n + 2) * z ** (2 * n + 1)
                 dq = (b_s * d_pairs) @ b_i.T
             elif name == "eta_p_s":
-                dq = (_binomial_derivative(b_s) * pairs) @ b_i.T
+                dq = (binomial_derivative(b_s) * pairs) @ b_i.T
             else:
-                dq = (b_s * pairs) @ _binomial_derivative(b_i).T
-            derivatives.append(left @ pair_map.apply(dq) @ right)
-    probs = np.clip(left @ pre @ right, 0.0, None)
+                dq = (b_s * pairs) @ binomial_derivative(b_i).T
+            derivatives.append(outcome_probabilities(pair_map, dq, left, right))
+    probs = np.clip(outcome_probabilities(pair_map, q, left, right), 0.0, None)
     return probs, np.array(derivatives).reshape((len(free),) + probs.shape)
 
 
@@ -288,8 +268,9 @@ class _FitObjective:
         self.phase_w = n_inc / self.ll_scale
         self.pair_map = pair_sector_map(cutoff.max_photons).at_phases(hist.phases)
         # with both detection efficiencies fixed, every evaluation shares them
-        eta_d_free = bool({"eta_d_s", "eta_d_i"} & set(self.free))
-        self.sides = None if eta_d_free else _detection_sides(base, self.ths, self.thi)
+        self.sides = None
+        if not {"eta_d_s", "eta_d_i"} & set(self.free):
+            self.sides = detection_sides(base["eta_d_s"], base["eta_d_i"], self.ths, self.thi)
 
     def __call__(self, params: dict):
         """(value, gradient, information, included-cell probabilities) at params."""

@@ -20,6 +20,9 @@ from .optics import (
     LossModel,
     PhaseSeries,
     SqueezingParams,
+    balanced_tmsv,
+    outcome_phase_series,
+    phase_generator,
 )
 
 P_FLOOR = 1e-15
@@ -43,11 +46,11 @@ def _check_derivative_sum(total: float):
 
 
 def outcome_series(
-    eng: InterferometerEngine, povm_s: DetectorPovm, povm_i: DetectorPovm
+    config: InterferometerConfig, povm_s: DetectorPovm, povm_i: DetectorPovm
 ) -> PhaseSeries:
-    """p(j, k; theta) of the engine's state under the two POVMs, as a phase series."""
-    ths, thi = _sliced_thetas(povm_s, povm_i, eng.cutoff.dim)
-    return eng.population_series.project(ths, thi)
+    """p(j, k; theta) of the config's state under the two POVMs, as a phase series."""
+    ths, thi = _sliced_thetas(povm_s, povm_i, config.cutoff.dim)
+    return outcome_phase_series(config.squeezing, config.loss, config.cutoff, ths, thi)
 
 
 def _sliced_thetas(povm_s: DetectorPovm, povm_i: DetectorPovm, d: int):
@@ -108,6 +111,14 @@ def quantum_fisher_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
     g = dpsi.conj() @ dpsi
     b = psi.conj() @ dpsi
     return float(4.0 * (g.real - abs(b) ** 2))
+
+
+def lossless_qfi(squeezing: SqueezingParams, cutoff: FockCutoff) -> float:
+    """QFI of the lossless family U_bs exp(i theta g) a, a = U_bs |TMSV>, at
+    every phase: U_bs is unitary and exp(i theta g) commutes with g, so it is
+    4 Var_a(g), the pure-state QFI of (a, i g a)."""
+    a = balanced_tmsv(squeezing.z, cutoff)
+    return quantum_fisher_pure(a, 1j * phase_generator(cutoff) * a)
 
 
 def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
@@ -255,8 +266,9 @@ def sweep_fisher(
     """Classical (and optionally quantum) Fisher information across a phase grid.
 
     The config's own phase field is ignored; the grid drives the sweep. The CFI
-    comes from the outcome phase series. The lossy QFI comes from the engine's
-    series of sigma4's two photon-number-parity blocks, with one
+    comes from the outcome phase series. The lossless QFI does not depend on
+    the phase and is computed once (lossless_qfi). The lossy QFI comes from
+    the engine's series of sigma4's two photon-number-parity blocks, with one
     eigendecomposition per block per evaluated phase.
 
     Both columns are evaluated once per mirror class of the grid and copied to
@@ -269,24 +281,23 @@ def sweep_fisher(
     phase_grid = np.asarray(phase_grid, dtype=float)
     if phase_grid.size == 0:
         raise ConfigError("phase grid must be nonempty")
-    eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
     first, label = _mirror_classes(phase_grid)
     cfi_class, n_suspect, dsum = _cfi_on_grid(
-        outcome_series(eng, povm_s, povm_i), phase_grid[first]
+        outcome_series(config, povm_s, povm_i), phase_grid[first]
     )
     _warn_suspects(n_suspect[label])
     _check_derivative_sum(dsum)
     cfi = cfi_class[label]
     qfi = None
-    if compute_qfi:
+    if compute_qfi and config.loss == LossModel():
+        qfi = np.full(phase_grid.size, lossless_qfi(config.squeezing, config.cutoff))
+    elif compute_qfi:
+        eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
         qfi_class = np.empty(first.size)
         for cls, th in enumerate(phase_grid[first]):
-            if eng.is_pure:
-                qfi_class[cls] = quantum_fisher_pure(eng.psi3(th), eng.dpsi3(th))
-            else:
-                qfi_class[cls] = sum(
-                    quantum_fisher_mixed(*block.at(th)) for block in eng.parity_block_series
-                )
+            qfi_class[cls] = sum(
+                quantum_fisher_mixed(*block.at(th)) for block in eng.parity_block_series
+            )
         qfi = qfi_class[label]
     meta = {
         "z": config.squeezing.z,
@@ -352,8 +363,7 @@ def max_cfi_over_phase(
     tol: float = 1e-6,
 ):
     """Maximum per-trial CFI over phase: coarse grid then golden-section refinement."""
-    eng = InterferometerEngine(config.squeezing, config.loss, config.cutoff)
-    series = outcome_series(eng, povm_s, povm_i)
+    series = outcome_series(config, povm_s, povm_i)
 
     def f(theta):
         return float(_cfi_on_grid(series, theta)[0][0])

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .fock import FockCutoff, signal_photon_numbers
+from .fock import FockCutoff
 
 _BALANCED = 0.5
 
@@ -56,17 +56,9 @@ class LossModel:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
 
     @classmethod
-    def lossless(cls) -> "LossModel":
-        return cls()
-
-    @classmethod
-    def symmetric(cls, eta: float, stage: str = "d") -> "LossModel":
-        """Equal transmissivity eta on both arms, at the given stage ('p' or 'd')."""
-        if stage == "d":
-            return cls(eta_d_s=eta, eta_d_i=eta)
-        if stage == "p":
-            return cls(eta_p_s=eta, eta_p_i=eta)
-        raise ConfigError(f"stage must be 'p' or 'd', got {stage!r}")
+    def symmetric(cls, eta: float) -> "LossModel":
+        """Equal detection transmissivity eta on both arms."""
+        return cls(eta_d_s=eta, eta_d_i=eta)
 
     def scaled(self, transmission: float) -> "LossModel":
         """Insert an extra common-path sample of the given transmission in both arms."""
@@ -184,6 +176,16 @@ def _binomial_tables(d: int):
     return comb, lost
 
 
+def binomial_derivative(B: np.ndarray) -> np.ndarray:
+    """dB/d(eta) for B = binomial_population_matrix(eta, d), from
+    dB[m, k] = k (B[m - 1, k - 1] - B[m, k - 1]), with B[-1, :] = 0."""
+    prev = np.zeros_like(B)
+    prev[:, 1:] = B[:, :-1]
+    lower = np.zeros_like(B)
+    lower[1:] = prev[:-1]
+    return np.arange(B.shape[1]) * (lower - prev)
+
+
 def loss_superoperator(eta: float, d: int) -> np.ndarray:
     """One-mode pure-loss channel as a (d^2, d^2) superoperator on (n, n') pairs.
 
@@ -243,10 +245,6 @@ class PhaseSeries:
     def derivatives(self, thetas) -> np.ndarray:
         """df/dtheta at each phase, in the shape of values()."""
         return self._evaluate(thetas, derivative=True)
-
-    def project(self, left: np.ndarray, right: np.ndarray) -> "PhaseSeries":
-        """Series of left^T f(theta) right, e.g. populations -> POVM outcomes."""
-        return PhaseSeries(left.T @ self.coeffs @ right)
 
     def _evaluate(self, thetas, derivative: bool) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -346,46 +344,70 @@ def pair_sector_map(max_photons: int) -> PairSectorMap:
     return PairSectorMap(T, cols)
 
 
-class InterferometerEngine:
-    """Precomputed sigma1 -> sigma4 pipeline, fast to evaluate across phases.
+def detection_sides(eta_s: float, eta_i: float, ths: np.ndarray, thi: np.ndarray):
+    """Each arm's detection binomial folded into its POVM slice: (left, right,
+    d_left, d_right), with left = ths^T B(eta_s) and right = B(eta_i)^T thi,
+    so that P = left @ diag(sigma3) @ right, and their derivatives in eta."""
+    d = ths.shape[0]
+    b_s, b_i = binomial_population_matrix(eta_s, d), binomial_population_matrix(eta_i, d)
+    db_s, db_i = binomial_derivative(b_s), binomial_derivative(b_i)
+    return ths.T @ b_s, b_i.T @ thi, ths.T @ db_s, db_i.T @ thi
 
-    The populations depend on the state only through the pair distribution q
-    (pair_distribution), and are an exact Fourier series in theta:
-    pair_sector_map gives the pre-detection series, and detection loss maps
-    populations by the binomial matrices (population_series). sigma3(theta)
-    differs from the fixed conjugation A = U_bs sigma2 U_bs^dag only by an
-    elementwise phase factor exp(i theta (g_j - g_k)); split by frequency,
-    this gives the QFI its series of sigma4's parity blocks
+
+def outcome_probabilities(pair_map: PairSectorMap, q: np.ndarray, left, right) -> np.ndarray:
+    """P(j, k) = left @ pair_map(q) @ right over the map's leading axes: the
+    outcome series' coefficients from pair_sector_map, or the probabilities
+    from that map at fixed phases. P is linear in q and in each side, so a
+    derivative is this product with one of them replaced by its derivative."""
+    return left @ pair_map.apply(q) @ right
+
+
+def outcome_phase_series(squeezing, loss, cutoff, ths, thi) -> PhaseSeries:
+    """P(j, k; theta) under the POVM slices ths, thi as an exact phase series:
+    the pair distribution, the pair-sector map and the detection fold."""
+    left, right, _, _ = detection_sides(loss.eta_d_s, loss.eta_d_i, ths, thi)
+    q = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, cutoff.dim)
+    return PhaseSeries(outcome_probabilities(pair_sector_map(cutoff.max_photons), q, left, right))
+
+
+def phase_generator(cutoff: FockCutoff) -> np.ndarray:
+    """g = (n_s - n_i)/2 per joint index. Photon-number-diagonal detection is
+    blind to a phase common to both arms, so the quantum bound is evaluated
+    for the differential phase; the single-arm generator n_s would add the
+    (unmeasured) common phase's information and double it."""
+    n = np.arange(cutoff.dim, dtype=float)
+    return 0.5 * (n[:, None] - n[None, :]).ravel()
+
+
+def balanced_tmsv(z: float, cutoff: FockCutoff) -> np.ndarray:
+    """a = U_bs |TMSV>, the lossless state before the phase, as a joint vector."""
+    return _bs_matrix(_BALANCED, cutoff.max_photons) @ tmsv_state(z, cutoff).ravel()
+
+
+class InterferometerEngine:
+    """Precomputed sigma1 -> sigma4 pipeline for the lossy QFI.
+
+    sigma3(theta) differs from the fixed conjugation A = U_bs sigma2 U_bs^dag
+    only by an elementwise phase factor exp(i theta (g_j - g_k)); split by
+    frequency, this gives the QFI its series of sigma4's parity blocks
     (parity_block_series). Loss on each arm is one superoperator product
-    (loss_superoperator). sigma2, A and the pure state are built on first use.
+    (loss_superoperator). sigma2 and A are built on first use. The
+    populations are the outcome series under identity POVM slices.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
         self.squeezing = squeezing
         self.loss = loss
         self.cutoff = cutoff
-        d = cutoff.dim
         self.prep_lossless = loss.eta_p_s == 1.0 and loss.eta_p_i == 1.0
         self.det_lossless = loss.eta_d_s == 1.0 and loss.eta_d_i == 1.0
-
         self.Ub = _bs_matrix(_BALANCED, cutoff.max_photons)
-        ns = signal_photon_numbers(cutoff).astype(float)
-        ni = np.tile(np.arange(d, dtype=float), d)
-        # Photon-number-diagonal detection is blind to a phase common to both
-        # arms, so the quantum bound is evaluated for the differential-phase
-        # family generated by g = (n_s - n_i)/2. The single-arm generator n_s
-        # would add the information carried by the (unmeasured) common phase
-        # and double the bound; the populations are the same for both.
-        self._g = 0.5 * (ns - ni)
-        # Every stage conserves the parity of n_s + n_i, so sigma4 and its
-        # derivative are block-diagonal over these two index sets.
-        odd = (ns + ni) % 2 == 1
+        self._g = phase_generator(cutoff)
+        # Every stage conserves the parity of n_s + n_i, which is that of
+        # n_s - n_i = 2g, so sigma4 and its derivative are block-diagonal over
+        # these two index sets.
+        odd = np.mod(2.0 * self._g, 2.0) == 1.0
         self.parity_blocks = (np.flatnonzero(~odd), np.flatnonzero(odd))
-        self.pairs = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, d)
-        self._Bs = binomial_population_matrix(loss.eta_d_s, d)
-        self._Bi = binomial_population_matrix(loss.eta_d_i, d)
-
-    # -- full-matrix path --------------------------------------------------
 
     @cached_property
     def sigma2(self) -> np.ndarray:
@@ -443,37 +465,12 @@ class InterferometerEngine:
             c[0] *= 0.5
         return tuple(HermitianSeries(c) for c in coeffs)
 
-    # -- population path (enough for diagonal POVMs) ------------------------
-
-    @cached_property
-    def population_series(self) -> PhaseSeries:
-        """diag(sigma4(theta)) over (n_s, n_i) as an exact Fourier series:
-        the pair-sector map applied to the pair distribution, then the
-        detection binomials."""
-        c3 = pair_sector_map(self.cutoff.max_photons).apply(self.pairs)
-        return PhaseSeries(self._Bs @ c3 @ self._Bi.T)
-
     def populations(self, theta: float) -> np.ndarray:
         """diag(sigma4) as a (d, d) array over (n_s, n_i)."""
-        return self.population_series.values(theta)
+        eye = np.eye(self.cutoff.dim)
+        return outcome_phase_series(self.squeezing, self.loss, self.cutoff, eye, eye).values(theta)
 
     def dpopulations(self, theta: float) -> np.ndarray:
-        return self.population_series.derivatives(theta)
-
-    # -- lossless pure-state path -------------------------------------------
-
-    @property
-    def is_pure(self) -> bool:
-        return self.prep_lossless and self.det_lossless
-
-    @cached_property
-    def _a_vec(self) -> np.ndarray:
-        if not self.prep_lossless:
-            raise ConfigError("pure-state path requires lossless preparation")
-        return self.Ub @ tmsv_state(self.squeezing.z, self.cutoff).ravel()
-
-    def psi3(self, theta: float) -> np.ndarray:
-        return self.Ub @ (np.exp(1j * theta * self._g) * self._a_vec)
-
-    def dpsi3(self, theta: float) -> np.ndarray:
-        return self.Ub @ (1j * self._g * np.exp(1j * theta * self._g) * self._a_vec)
+        eye = np.eye(self.cutoff.dim)
+        series = outcome_phase_series(self.squeezing, self.loss, self.cutoff, eye, eye)
+        return series.derivatives(theta)

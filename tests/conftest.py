@@ -3,12 +3,13 @@
 The brute-force oracles deliberately avoid the library's own construction
 paths: beam splitters come from scipy's matrix exponential of the two-mode
 generator, loss from explicit binomial matrices, derivatives from central
-finite differences. The dense references (dense_sigma3, dense_sigma4,
-loss_via_ancilla) are the per-phase d^2 x d^2 paths that the library's phase
-series and superoperator loss replaced; they share the engine's fixed parts
-and serve as the tests' oracles. The row-by-row writers (loop_report_csv,
-loop_report_json, loop_write_csv) are the report writers that the column-wise
-ones replaced, kept as byte-for-byte oracles.
+finite differences. The dense references (dense_psi3, dense_sigma3,
+dense_sigma4, loss_via_ancilla) are the per-phase d^2 x d^2 paths that the
+library's phase series, closed-form lossless QFI and superoperator loss
+replaced; they share the engine's fixed parts and serve as the tests'
+oracles. The row-by-row writers (loop_report_csv, loop_report_json,
+loop_write_csv) are the report writers that the column-wise ones replaced,
+kept as byte-for-byte oracles.
 """
 
 import json
@@ -96,6 +97,16 @@ def dense_sigma3(eng, theta: float, g=None):
     dF = 1j * (g[:, None] * F - F * g[None, :])
     U, Uh = eng.Ub, eng.Ub.conj().T
     return U @ F @ Uh, U @ dF @ Uh
+
+
+def dense_psi3(eng, theta: float):
+    """(psi3, dpsi3) at theta for a lossless engine: the phase factor
+    exp(i theta g) on a = U |TMSV>, then the second beam splitter."""
+    d = eng.cutoff.dim
+    g = difference_generator(d)
+    a = eng.Ub @ tmsv_vector(eng.squeezing.z, d)
+    e = np.exp(1j * theta * g)
+    return eng.Ub @ (e * a), eng.Ub @ (1j * g * e * a)
 
 
 def dense_sigma4(eng, theta: float, g=None):

@@ -28,7 +28,6 @@ from tmsvfisher import (
     max_cfi_over_phase,
     pnr_click_ratio,
     quantum_fisher_mixed,
-    quantum_fisher_pure,
     simulate_counts,
     bootstrap_ci,
     sub_snl_fraction,
@@ -247,11 +246,13 @@ def test_criterion_5_oracle_equivalences():
     d_fd = (dense_sigma4(eng, th + h)[0] - dense_sigma4(eng, th - h)[0]) / (2 * h)
     rel_fd = float(np.linalg.norm(d_an - d_fd) / np.linalg.norm(d_an))
 
-    # QFI: the pure-state path against the parity-block sum sweep_fisher takes
-    # for a mixed state, on one lossless state
-    eng = InterferometerEngine(SqueezingParams(0.35), LossModel(), FockCutoff(8))
+    # QFI: the closed form sweep_fisher takes for a lossless state against the
+    # parity-block sum it takes for a mixed state, on one lossless state
+    cfg = InterferometerConfig(SqueezingParams(0.35), LossModel(), 0.0, FockCutoff(8))
+    eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
     th = 0.9
-    q_pure = quantum_fisher_pure(eng.psi3(th), eng.dpsi3(th))
+    pnr = ideal_pnr_povm(8, 8)
+    q_pure = sweep_fisher(cfg, [th], pnr, pnr).qfi[0]
     q_mixed = sum(quantum_fisher_mixed(*block.at(th)) for block in eng.parity_block_series)
     rel_qfi = abs(q_pure - q_mixed) / q_pure
 

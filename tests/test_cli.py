@@ -316,6 +316,30 @@ class TestFit:
         (("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 2, "--seed", 1,
           "--out", "{tmp}"), "out"),
         (("tomography", "{probes}", "--kmax", 3, "--out", "{tmp}"), "out"),
+        # a size below 1 is an error, not a cue for the default
+        (("sweep", "--z", 0.1, "--phases", 0, "--out-prefix", "{tmp}/run_"), "phases"),
+        (("sweep", "--z", 0.1, "--phases", -4, "--out-prefix", "{tmp}/run_"), "phases"),
+        (("sweep", "--z", 0.1, "--cutoff", 0, "--out-prefix", "{tmp}/run_"), "cutoff"),
+        (("sweep", "--z", 0.1, "--cutoff", -2, "--out-prefix", "{tmp}/run_"), "cutoff"),
+        (("sweep", "--z", 0.1, "--cutoff", 3, "--n-max", 0,
+          "--out-prefix", "{tmp}/run_"), "n-max"),
+        (("sweep", "--config", "{zeros}", "--out-prefix", "{tmp}/run_"), "phases"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 3, "--phases", -1,
+          "--out-dir", "{tmp}"), "phases"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 0, "--out-dir", "{tmp}"), "cutoff"),
+        (("loss-scan", "--z", 0.15, "--cutoff", 3, "--n-max", 0,
+          "--out-dir", "{tmp}"), "n-max"),
+        (("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", -2, "--seed", 1,
+          "--out", "{tmp}/counts.csv"), "phases"),
+        (("simulate-counts", "--z", 0.15, "--cutoff", 3, "--trials", -5, "--seed", 1,
+          "--out", "{tmp}/counts.csv"), "trials"),
+        (("simulate-counts", "--z", 0.15, "--cutoff", -1, "--seed", 1,
+          "--out", "{tmp}/counts.csv"), "cutoff"),
+        (("simulate-counts", "--z", 0.15, "--cutoff", 3, "--n-max", 0, "--seed", 1,
+          "--out", "{tmp}/counts.csv"), "n-max"),
+        (("fit", "{counts}", "--cutoff", 0, "--out", "{tmp}/fit.json"), "cutoff"),
+        (("fit", "{counts}", "--cutoff", 3, "--n-max", 0, "--out", "{tmp}/fit.json"), "n-max"),
+        (("sweep", "--config", "{fraction}", "--out-prefix", "{tmp}/run_"), "phases"),
     ],
 )
 def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypatch,
@@ -326,6 +350,10 @@ def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypa
     pnr = ideal_pnr_povm(3, 3)
     simulate_counts(config, pnr, pnr, [0.5, 1.5], 1000, 4).to_csv(tmp_path / "counts.csv")
     _probe_csv(tmp_path / "probes.csv", efficiency_povm(0.9, 3, 3))
+    # from a config file, an explicit 0 is not replaced by the default and a
+    # fraction is not truncated
+    (tmp_path / "zeros.json").write_text('{"z": 0.1, "phases": 0}')
+    (tmp_path / "fraction.json").write_text('{"z": 0.1, "cutoff": 3, "phases": 2.5}')
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
@@ -334,7 +362,8 @@ def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypa
                  "bootstrap_ci", "tomography_mle"):
         monkeypatch.setattr(cli, name, no_work)
     paths = {"missing": tmp_path / "missing", "tmp": tmp_path,
-             "counts": tmp_path / "counts.csv", "probes": tmp_path / "probes.csv"}
+             "counts": tmp_path / "counts.csv", "probes": tmp_path / "probes.csv",
+             "zeros": tmp_path / "zeros.json", "fraction": tmp_path / "fraction.json"}
     assert run(*(str(a).format(**paths) for a in argv)) == 2
     assert f"(field: {field})" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()

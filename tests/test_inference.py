@@ -236,7 +236,10 @@ class TestFitObjective:
             calls.append(args)
             return original(*args)
 
+        # the preparation binomials are built in inference, the detection
+        # ones by optics.detection_sides
         monkeypatch.setattr(inference, "binomial_population_matrix", counted)
+        monkeypatch.setattr(optics, "binomial_population_matrix", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for free, per_evaluation, once in (

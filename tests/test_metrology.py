@@ -20,10 +20,11 @@ from tmsvfisher import (
     pnr_click_ratio,
     quantum_fisher_mixed,
     quantum_fisher_pure,
+    simulate_counts,
     sub_snl_fraction,
     sweep_fisher,
 )
-from tmsvfisher import metrology
+from tmsvfisher import metrology, optics
 from tmsvfisher.fock import signal_photon_numbers
 from tmsvfisher.metrology import (
     P_FLOOR,
@@ -36,7 +37,7 @@ from tmsvfisher.metrology import (
 )
 from tmsvfisher.optics import InterferometerEngine
 
-from conftest import dense_sigma4, loop_report_csv, loop_report_json, loop_write_csv
+from conftest import dense_psi3, dense_sigma4, loop_report_csv, loop_report_json, loop_write_csv
 
 
 def _config(z=0.2, loss=None, phase=0.0, max_photons=8):
@@ -72,9 +73,7 @@ class TestClassicalFisher:
         pnr = _pnr()
         theta, h = math.pi / 4, 1e-4
         fi = _cfi_at(cfg, theta, pnr, pnr)
-        series = outcome_series(
-            InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff), pnr, pnr
-        )
+        series = outcome_series(cfg, pnr, pnr)
         p0, pp, pm = (series.values(theta + dt) for dt in (0.0, h, -h))
         live = p0 > 1e-10
         curv = np.sum(p0[live] * (np.log(pp[live]) - 2 * np.log(p0[live]) + np.log(pm[live])) / h**2)
@@ -174,9 +173,7 @@ class TestSweep:
         cfg = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95))
         pnr = _pnr()
         h = 1e-5
-        series = outcome_series(
-            InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff), pnr, pnr
-        )
+        series = outcome_series(cfg, pnr, pnr)
         for th in (0.4, 1.3, 2.7):
             p = series.values(th)
             dp_fd = (series.values(th + h) - series.values(th - h)) / (2 * h)
@@ -252,6 +249,28 @@ class TestSweep:
         for key in ("z", "n_bar", "eta_p_s", "config_hash", "version"):
             assert key in rep.metadata
 
+    def test_cfi_and_lossless_qfi_build_no_engine(self, monkeypatch):
+        # the engine serves only the lossy QFI: the outcome series is built
+        # from the config, and the lossless QFI has a closed form
+        builds = []
+        original = InterferometerEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(optics.InterferometerEngine, "__init__", counting)
+        lossy = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95), max_photons=5)
+        pnr = _pnr(5)
+        grid = default_phase_grid(8)
+        sweep_fisher(lossy, grid, pnr, pnr, compute_qfi=False)
+        sweep_fisher(_config(0.3, max_photons=5), grid, pnr, pnr)
+        simulate_counts(lossy, pnr, pnr, grid, 100, 1)
+        max_cfi_over_phase(lossy, pnr, pnr, coarse_points=16)
+        assert builds == []
+        sweep_fisher(lossy, grid, pnr, pnr)
+        assert len(builds) == 1
+
 
 class TestPhaseSeries:
     def test_matches_dense_sigma4_on_random_configs(self):
@@ -260,11 +279,9 @@ class TestPhaseSeries:
         rng = np.random.default_rng(20240517)
         for max_photons in range(3, 11):
             d = max_photons + 1
-            eng = InterferometerEngine(
-                SqueezingParams(rng.uniform(0.05, 0.6)),
-                LossModel(*rng.uniform(0.5, 1.0, 4)),
-                FockCutoff(max_photons),
-            )
+            cfg = _config(rng.uniform(0.05, 0.6), LossModel(*rng.uniform(0.5, 1.0, 4)),
+                          max_photons=max_photons)
+            eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
             pnr = ideal_pnr_povm(max_photons, max_photons)
             povms = [
                 pnr,
@@ -273,7 +290,7 @@ class TestPhaseSeries:
             ]
             thetas = rng.uniform(-math.pi, 3 * math.pi, 2)
             for povm_s, povm_i in zip(povms, povms[1:] + povms[:1]):
-                series = outcome_series(eng, povm_s, povm_i)
+                series = outcome_series(cfg, povm_s, povm_i)
                 p, dp = series.values(thetas), series.derivatives(thetas)
                 for row, th in enumerate(thetas):
                     sigma4, dsigma4 = dense_sigma4(eng, th)
@@ -391,8 +408,8 @@ class TestMirrorSymmetry:
     @staticmethod
     def _dense_qfi(eng, th):
         # oracle: the dense per-phase state, pure when nothing is lost
-        if eng.is_pure:
-            return quantum_fisher_pure(eng.psi3(th), eng.dpsi3(th))
+        if eng.loss == LossModel():
+            return quantum_fisher_pure(*dense_psi3(eng, th))
         return quantum_fisher_mixed(*dense_sigma4(eng, th))
 
     @staticmethod
@@ -408,15 +425,14 @@ class TestMirrorSymmetry:
             povms = (pnr, click_povm_from(pnr), efficiency_povm(0.8, max_photons, max_photons))
             for loss in self.LOSSES.values():
                 etas = np.where(np.array(loss) < 1.0, rng.uniform(0.3, 0.99, 4), 1.0)
-                eng = InterferometerEngine(
-                    SqueezingParams(rng.uniform(0.05, 0.6)), LossModel(*etas), FockCutoff(max_photons)
-                )
+                cfg = _config(rng.uniform(0.05, 0.6), LossModel(*etas), max_photons=max_photons)
+                eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
                 thetas = rng.uniform(0.0, 2 * math.pi, 3)
                 qp = np.array([self._dense_qfi(eng, th) for th in thetas])
                 qm = np.array([self._dense_qfi(eng, -th) for th in thetas])
                 assert np.max(np.abs(qp - qm)) <= 1e-10 * np.max(qp)
                 for povm_s, povm_i in zip(povms, povms[1:] + povms[:1]):
-                    series = outcome_series(eng, povm_s, povm_i)
+                    series = outcome_series(cfg, povm_s, povm_i)
                     cp = np.array([self._cfi(series, th) for th in thetas])
                     cm = np.array([self._cfi(series, -th) for th in thetas])
                     assert np.max(np.abs(cp - cm)) <= 1e-10 * np.max(cp)
@@ -428,15 +444,23 @@ class TestMirrorSymmetry:
         mirrors = np.stack([base, -base, 2 * math.pi - base, base + 2 * math.pi])
         grid = np.concatenate([mirrors.ravel(), [math.pi, 0.0]])
         perm = rng.permutation(grid.size)
-        cfg = _config(0.35, LossModel(*self.LOSSES[loss]), max_photons=7)
-        rep = sweep_fisher(cfg, grid[perm], _pnr(7), _pnr(7))
-        eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
-        dense = np.array([self._dense_qfi(eng, th) for th in grid[perm]])
-        assert np.max(np.abs(rep.qfi - dense)) <= 1e-10 * np.max(dense)
-        qfi = np.empty(grid.size)
-        qfi[perm] = rep.qfi
-        classes = qfi[: mirrors.size].reshape(mirrors.shape)
-        assert np.array_equal(classes, np.broadcast_to(classes[0], classes.shape))
+        # at odd cutoffs and z = 0.85 the truncated (polar-factor) blocks of
+        # the beam splitter carry mass
+        for z, max_photons in ((0.35, 7), (0.85, 5), (0.85, 9)):
+            cfg = _config(z, LossModel(*self.LOSSES[loss]), max_photons=max_photons)
+            pnr = _pnr(max_photons)
+            rep = sweep_fisher(cfg, grid[perm], pnr, pnr)
+            eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
+            dense = np.array([self._dense_qfi(eng, th) for th in grid[perm]])
+            assert np.max(np.abs(rep.qfi - dense)) <= 1e-10 * np.max(dense)
+            qfi = np.empty(grid.size)
+            qfi[perm] = rep.qfi
+            classes = qfi[: mirrors.size].reshape(mirrors.shape)
+            assert np.array_equal(classes, np.broadcast_to(classes[0], classes.shape))
+            if loss == "lossless":
+                # the pure-state QFI does not depend on the phase
+                assert np.all(rep.qfi == rep.qfi[0])
+                assert np.max(np.abs(rep.qfi - dense)) <= 1e-13 * rep.qfi[0]
 
     def test_one_qfi_evaluation_per_mirror_class(self, monkeypatch):
         calls = []
@@ -490,8 +514,7 @@ class TestMirrorClassCfi:
         povm = _pnr(max_photons)
         if click:
             povm = click_povm_from(povm)
-        eng = InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff)
-        series = outcome_series(eng, povm, povm)
+        series = outcome_series(cfg, povm, povm)
         for name, grid in self.GRIDS.items():
             first, label = metrology._mirror_classes(grid)
             with warnings.catch_warnings():
@@ -532,7 +555,7 @@ class TestMirrorClassCfi:
         assert metrology._mirror_classes(grid)[0].size == 3
         cfg = _config(0.3, max_photons=6)
         pnr = _pnr(6)
-        series = outcome_series(InterferometerEngine(cfg.squeezing, cfg.loss, cfg.cutoff), pnr, pnr)
+        series = outcome_series(cfg, pnr, pnr)
         every = int(metrology._cfi_on_grid(series, grid)[1].sum())
         assert every == 48
         with pytest.warns(RuntimeWarning, match=rf"^{every} outcome\(s\) with p <=") as rec:

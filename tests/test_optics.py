@@ -383,7 +383,8 @@ class TestEngineInternals:
                 # sigma2's fixed-N blocks are diagonal and carry q
                 sigma2 = eng.sigma2
                 pops2 = np.real(np.diag(sigma2)).reshape(d, d)
-                assert np.max(np.abs(eng.pairs - pops2)) < 1e-15
+                pairs = optics.pair_distribution(z, etas[0], etas[1], d)
+                assert np.max(np.abs(pairs - pops2)) < 1e-15
                 N = np.add.outer(np.arange(d), np.arange(d)).ravel()
                 same_n = (N[:, None] == N[None, :]) & ~np.eye(d * d, dtype=bool)
                 assert np.max(np.abs(sigma2[same_n]), initial=0.0) < 1e-15
