@@ -397,22 +397,83 @@ def write_probe_csv(path, alpha_sq, counts):
                 w.writerow([repr(float(a)), n, int(np.rint(counts[m, n]))])
 
 
+def nonnegative_int(text: str) -> int:
+    """A CSV index or count: int(text), refusing a negative value."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_KINDS = {float: "a number", nonnegative_int: "a nonnegative integer"}
+
+
+def _malformed_row(what: str, values, fields) -> ConfigError | None:
+    """The ConfigError for a CSV data row, a list of strings, that does not
+    parse as fields, (name, parser) pairs with a parser from _KINDS, or str
+    for a column that is not read; None if it does. It names the first
+    unparsable field, else the first missing one, or the last one when the
+    row has too many."""
+    row = ",".join(values)
+    for text, (name, parse) in zip(values, fields):
+        try:
+            parse(text)
+        except ValueError:
+            return ConfigError(
+                f"{what} row {row!r}: {name} must be {_KINDS[parse]}, got {text!r} "
+                f"(field: {name})"
+            )
+    if len(values) == len(fields):
+        return None
+    name = fields[min(len(values), len(fields) - 1)][0]
+    return ConfigError(
+        f"{what} row {row!r} has {len(values)} fields, expected {len(fields)} (field: {name})"
+    )
+
+
+def parse_csv_rows(what: str, rows, fields) -> list[np.ndarray]:
+    """The columns of nonempty CSV data rows, each a list of strings, parsed
+    as fields (see _malformed_row): one array per field.
+
+    Each column is converted in one pass and the nonnegative ones are checked
+    as arrays; only a column that fails is searched row by row, for the
+    ConfigError of its first malformed row.
+    """
+    try:
+        if any(len(row) != len(fields) for row in rows):
+            raise ValueError("field count")
+        columns = []
+        for (_, parse), texts in zip(fields, zip(*rows)):
+            column = np.array(list(map(int if parse is nonnegative_int else parse, texts)))
+            if parse is nonnegative_int and column.min() < 0:
+                raise ValueError("negative")
+            columns.append(column)
+    except ValueError:
+        raise next(filter(None, (_malformed_row(what, row, fields) for row in rows))) from None
+    return columns
+
+
+_PROBE_PARSERS = {"alpha_sq": float, "outcome": nonnegative_int, "count": float}
+
+
 def read_probe_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (alpha_sq values, counts matrix) from long-format probe data."""
-    rows = []
+    """Returns (alpha_sq values, counts matrix) from long-format probe data.
+
+    A row with the wrong number of fields, a non-numeric value, or an outcome
+    that is not a nonnegative integer raises a ConfigError naming the field.
+    """
     with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        if r.fieldnames is None or not {"alpha_sq", "outcome", "count"} <= set(r.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(_PROBE_PARSERS) <= set(header):
             raise ConfigError("probe CSV must have columns alpha_sq, outcome, count")
-        for rec in r:
-            rows.append((float(rec["alpha_sq"]), int(rec["outcome"]), float(rec["count"])))
+        rows = [rec for rec in reader if rec]
     if not rows:
         raise ConfigError("probe CSV contains no data rows")
-    alphas = sorted({a for a, _, _ in rows})
-    n_out = max(n for _, n, _ in rows) + 1
-    counts = np.zeros((len(alphas), n_out))
-    aidx = {a: m for m, a in enumerate(alphas)}
-    for a, n, c in rows:
-        counts[aidx[a], n] += c
-    return np.asarray(alphas), counts
-
+    fields = [(name, _PROBE_PARSERS.get(name, str)) for name in header]
+    columns = parse_csv_rows("probe CSV", rows, fields)
+    a, n, c = (columns[header.index(name)] for name in _PROBE_PARSERS)
+    alphas, aidx = np.unique(a, return_inverse=True)
+    counts = np.zeros((alphas.size, n.max() + 1))
+    np.add.at(counts, (aidx, n), c)
+    return alphas, counts

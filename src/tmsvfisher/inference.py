@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from .detectors import DetectorPovm
+from .detectors import DetectorPovm, nonnegative_int, parse_csv_rows
 from .errors import ConfigError
 from .fock import FockCutoff
 from .metrology import _sliced_thetas, outcome_series
@@ -60,6 +60,9 @@ class CountHistogram:
 
     @classmethod
     def from_csv(cls, path) -> "CountHistogram":
+        """Read the format of to_csv. A data row with the wrong number of
+        fields, a non-numeric phase, or an index or count that is not a
+        nonnegative integer raises a ConfigError naming the field."""
         trials = None
         rows = []
         with open(path) as fh:
@@ -74,20 +77,24 @@ class CountHistogram:
                     continue
                 if line.startswith("phase_rad"):
                     continue
-                th, j, k, c = line.split(",")
-                rows.append((float(th), int(j), int(k), int(c)))
+                rows.append(line.split(","))
         if trials is None:
             raise ConfigError("counts CSV is missing the '# trials_per_phase=N' header")
         if not rows:
             raise ConfigError("counts CSV contains no data rows")
-        phases = sorted({r[0] for r in rows})
-        pidx = {p: i for i, p in enumerate(phases)}
-        nj = max(r[1] for r in rows) + 1
-        nk = max(r[2] for r in rows) + 1
-        counts = np.zeros((len(phases), nj, nk), dtype=np.int64)
-        for th, j, k, c in rows:
-            counts[pidx[th], j, k] += c
-        return cls(np.asarray(phases), counts, trials)
+        th, j, k, c = parse_csv_rows("counts CSV", rows, _COUNT_FIELDS)
+        phases, pidx = np.unique(th, return_inverse=True)
+        counts = np.zeros((phases.size, j.max() + 1, k.max() + 1), dtype=np.int64)
+        np.add.at(counts, (pidx, j, k), c)
+        return cls(phases, counts, trials)
+
+
+_COUNT_FIELDS = (
+    ("phase_rad", float),
+    ("j", nonnegative_int),
+    ("k", nonnegative_int),
+    ("count", nonnegative_int),
+)
 
 
 def simulate_counts(

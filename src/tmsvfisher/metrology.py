@@ -7,6 +7,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +32,11 @@ QFI_EIG_FLOOR = 1e-12
 # Outcome probabilities sum to one at every phase, so their derivatives sum to
 # zero; a larger residual means the outcome model lost or gained mass.
 DSUM_TOL = 1e-9
-# Phases evaluated per matrix product on a grid: bounds the per-block arrays,
-# so peak memory does not grow with the grid size.
+# Phases evaluated per matrix product on a grid. It bounds the per-block
+# arrays, so peak memory does not grow with the grid size, and it keeps each
+# product below OpenBLAS's threading cut-over: at cutoff 10 a real
+# 256x21 @ 21x121 product runs on one thread in 42 us, while a 512-row one
+# wakes the second thread and takes 374 us (2 vCPUs, scipy-openblas 0.3.31).
 PHASE_BLOCK = 256
 # Phases whose mirror keys min(t, 2 pi - t) differ by at most this share one
 # QFI evaluation: a few ulps of 2 pi, the rounding np.linspace leaves between
@@ -148,7 +152,7 @@ def shot_noise_limit(z: SqueezingParams | float) -> float:
 # Phase sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FisherReport:
     phase_grid: np.ndarray
     cfi: np.ndarray
@@ -166,49 +170,67 @@ class FisherReport:
             return None
         return self.qfi / self.snl if self.snl > 0 else np.full_like(self.qfi, np.nan)
 
+    @cached_property
+    def _shared_text(self) -> dict:
+        """repr of every float of the columns both files hold, formatted once
+        per report: phase_grid, cfi and, when present, qfi."""
+        columns = {"phase_grid": self.phase_grid, "cfi": self.cfi, "qfi": self.qfi}
+        return {k: _float_text(v) for k, v in columns.items() if v is not None}
+
     def to_csv(self, path):
+        text = self._shared_text
+        n_rows = len(text["phase_grid"])
+        nan = [repr(math.nan)] * n_rows
         no_qfi = self.qfi is None
-        write_csv(
+        _write_csv_text(
             path,
             self.metadata,
             "phase,cfi,qfi,snl,cfi_per_photon,qfi_per_photon",
             [
-                self.phase_grid,
-                self.cfi,
-                math.nan if no_qfi else self.qfi,
-                self.snl,
-                self.cfi_per_photon,
-                math.nan if no_qfi else self.qfi_per_photon,
+                text["phase_grid"],
+                text["cfi"],
+                nan if no_qfi else text["qfi"],
+                [repr(float(self.snl))] * n_rows,
+                _float_text(self.cfi_per_photon),
+                nan if no_qfi else _float_text(self.qfi_per_photon),
             ],
         )
 
     def to_json(self, path):
-        """The layout of json.dump(payload, sort_keys=True, indent=2), with the
-        float arrays encoded by json's C encoder."""
+        """The layout of json.dump(payload, sort_keys=True, indent=2)."""
+        text = self._shared_text
         fields = {
-            "cfi": _json_floats(self.cfi),
+            "cfi": _json_floats(text["cfi"]),
             # json strings escape newlines, so each newline here starts a line
             "metadata": json.dumps(self.metadata, sort_keys=True, indent=2).replace(
                 "\n", "\n  "
             ),
-            "phase_grid": _json_floats(self.phase_grid),
-            "qfi": "null" if self.qfi is None else _json_floats(self.qfi),
+            "phase_grid": _json_floats(text["phase_grid"]),
+            "qfi": "null" if self.qfi is None else _json_floats(text["qfi"]),
             "snl": json.dumps(self.snl),
         }
         with open(path, "w") as fh:
             fh.write("{\n  " + ",\n  ".join(f'"{k}": {v}' for k, v in fields.items()) + "\n}\n")
 
 
-def _json_floats(values) -> str:
-    """A float array as an indent=2 json.dump lays it out one level down.
+def _float_text(values) -> list[str]:
+    """repr of each float of an array, the spelling of both report files."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
-    json.dumps without indent runs the C encoder, and ", " occurs in its
-    output only between elements, since floats print as repr, NaN or Infinity.
+
+def _json_floats(text: list[str]) -> str:
+    """repr-formatted floats as an indent=2 json.dump lays out their array one
+    level down.
+
+    json writes a finite float as its repr and the others as NaN, Infinity
+    and -Infinity, where repr gives nan, inf and -inf; no finite repr holds
+    an "n" or an "i", so replacing those words in the joined text respells
+    exactly the non-finite values.
     """
-    text = json.dumps(np.asarray(values, dtype=float).tolist())
-    if text == "[]":
-        return text
-    return "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+    if not text:
+        return "[]"
+    body = ",\n    ".join(text).replace("nan", "NaN").replace("inf", "Infinity")
+    return "[\n    " + body + "\n  ]"
 
 
 def write_csv(path, metadata: dict, header: str, columns):
@@ -216,12 +238,16 @@ def write_csv(path, metadata: dict, header: str, columns):
     the columns, each value as repr(float). A scalar column holds the same
     value on every row and is formatted once."""
     n_rows = max(np.size(c) for c in columns)
-    text = [
-        [repr(float(c))] * n_rows
-        if np.ndim(c) == 0
-        else list(map(repr, np.asarray(c, dtype=float).tolist()))
-        for c in columns
-    ]
+    _write_csv_text(
+        path,
+        metadata,
+        header,
+        [[repr(float(c))] * n_rows if np.ndim(c) == 0 else _float_text(c) for c in columns],
+    )
+
+
+def _write_csv_text(path, metadata: dict, header: str, text):
+    """write_csv for columns already formatted, one list of strings each."""
     with open(path, "w") as fh:
         for k in sorted(metadata):
             fh.write(f"# {k}={metadata[k]}\n")

@@ -224,11 +224,19 @@ def _apply_loss(rho: np.ndarray, d: int, L_s=None, L_i=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Exact trigonometric polynomial f(theta) = Re sum_w c_w exp(i w theta).
+    """Exact trigonometric polynomial f(theta) = Re sum_{w=-W..W} c_w exp(i w theta).
 
-    coeffs[w + W] holds c_w for w = -W..W; any trailing axes are the shape of
-    f. Evaluating a phase grid is one matrix product E @ c with
-    E[theta, w] = exp(i w theta), and the derivative is exact: c_w -> i w c_w.
+    coeffs[w + W] holds c_w; any trailing axes are the shape of f. For any
+    complex c_w, conjugate-symmetric or not, f is the real series
+
+        f(theta) = sum_{w=0..W} (a_w cos(w theta) + b_w sin(w theta)),
+
+    with a_0 = Re c_0, a_w = Re(c_w + c_{-w}) and b_w = Im(c_{-w} - c_w), and
+    its derivative is exact: sum_w w (b_w cos(w theta) - a_w sin(w theta)).
+    Evaluating a phase grid is one real matrix product T @ R, with
+    T[theta] = (cos(w theta) for w = 0..W, sin(w theta) for w = 1..W) and R
+    the matching rows (a_0..a_W, b_1..b_W); the derivative is T @ R' with the
+    same T.
     """
 
     coeffs: np.ndarray
@@ -237,6 +245,18 @@ class PhaseSeries:
     def frequencies(self) -> np.ndarray:
         half = (self.coeffs.shape[0] - 1) // 2
         return np.arange(-half, half + 1)
+
+    @cached_property
+    def _real_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, R'): the rows of T that give f and df/dtheta, flattened to 2-D."""
+        half = (self.coeffs.shape[0] - 1) // 2
+        c = self.coeffs.reshape(2 * half + 1, -1)
+        pos, neg = c[half:], c[half::-1]  # c_w and c_{-w} for w = 0..W
+        a = (pos + neg).real
+        a[0] = pos[0].real
+        b = (neg[1:] - pos[1:]).imag
+        w = np.arange(1, half + 1)[:, None]
+        return np.vstack([a, b]), np.vstack([np.zeros_like(a[:1]), w * b, -w * a[1:]])
 
     def values(self, thetas) -> np.ndarray:
         """f at each phase; shape thetas.shape + the coefficients' trailing shape."""
@@ -248,11 +268,9 @@ class PhaseSeries:
 
     def _evaluate(self, thetas, derivative: bool) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        w = self.frequencies
-        E = np.exp(1j * np.multiply.outer(thetas.ravel(), w))
-        if derivative:
-            E *= 1j * w
-        out = (E @ self.coeffs.reshape(w.size, -1)).real
+        wt = np.multiply.outer(thetas.ravel(), np.arange((self.coeffs.shape[0] + 1) // 2))
+        T = np.hstack([np.cos(wt), np.sin(wt[:, 1:])])
+        out = T @ self._real_rows[derivative]
         return out.reshape(thetas.shape + self.coeffs.shape[1:])
 
 
@@ -308,7 +326,7 @@ class PairSectorMap:
         return out.reshape(out.shape[:-1] + q.shape)
 
     def at_phases(self, thetas) -> "PairSectorMap":
-        """The map at fixed phases, Re(E @ coeffs): one real slice per phase."""
+        """The map at fixed phases, its phase series evaluated: one real slice per phase."""
         return PairSectorMap(PhaseSeries(self.coeffs).values(thetas), self.cols)
 
 

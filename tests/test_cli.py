@@ -100,6 +100,31 @@ class TestSweep:
             outs.append((tmp_path / f"{tag}fisher.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("no_qfi, n_columns, n_phases", [(True, 3, 2048), (False, 5, 64)])
+    def test_report_formats_each_float_column_once(
+        self, tmp_path, monkeypatch, no_qfi, n_columns, n_phases
+    ):
+        # the CSV and the JSON share the phase, CFI and QFI strings; the
+        # per-photon columns are the CSV's own: 3 or 5 columns, not 5 or 8
+        formatted = []
+        real = tmsvfisher.metrology._float_text
+
+        def counted(values):
+            text = real(values)
+            formatted.append(len(text))
+            return text
+
+        monkeypatch.setattr(tmsvfisher.metrology, "_float_text", counted)
+        prefix = str(tmp_path / "count_")
+        flags = ["--no-qfi"] if no_qfi else []
+        assert run("sweep", "--nbar", 3.631e-3, "--eta-d", "0.805,0.815", "--cutoff", 10,
+                   "--phases", n_phases, *flags, "--out-prefix", prefix) == 0
+        assert formatted == [n_phases] * n_columns
+        data = _read_csv_with_comments(tmp_path / "count_fisher.csv")
+        payload = json.loads((tmp_path / "count_fisher.json").read_text())
+        assert np.array_equal(data["cfi"], payload["cfi"])
+        assert np.array_equal(data["phase"], payload["phase_grid"])
+
 
 class TestConfigErrors:
     def test_both_z_and_nbar_rejected(self, tmp_path):
@@ -201,6 +226,25 @@ class TestTomography:
                    "--out", tmp_path / "povm.json") == 2
         assert "count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, rows, bad, field",
+        [
+            # a non-numeric intensity
+            ("alpha_sq,outcome,count", ["1.0,0,80", "1.0,1,20"], "x,1,10", "alpha_sq"),
+            # numpy would wrap outcome -1 onto the last of the two outcomes
+            ("alpha_sq,outcome,count", ["1.0,0,80", "2.0,0,60", "2.0,1,40"], "1.0,-1,20", "outcome"),
+            ("alpha_sq,outcome,count", ["1.0,0,80"], "1.0,1", "count"),
+            ("count,alpha_sq,outcome", ["80,1.0,0"], "1.5e3,1.0,one", "outcome"),
+        ],
+    )
+    def test_malformed_probe_row_exits_config(self, tmp_path, capsys, header, rows, bad, field):
+        probe_path = tmp_path / "probes.csv"
+        probe_path.write_text("\n".join([header, *rows, bad]) + "\n")
+        assert run("tomography", probe_path, "--kmax", 1, "--out", tmp_path / "povm.json") == 2
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and repr(bad) in err
+        assert not (tmp_path / "povm.json").exists()
+
     def test_prints_ll_gain_and_grad_norm(self, tmp_path, capsys):
         truth = efficiency_povm(0.9, 3, 3)
         probe_path = tmp_path / "probes.csv"
@@ -269,6 +313,29 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("phase_rad,j,k,count\n0.0,0,0,5\n")
         assert run("fit", bad, "--cutoff", 3) == 2
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("0.0,0,1,abc", "count"),
+            ("0.0,0,0", "count"),
+            # numpy would wrap index -1 onto the last idler outcome
+            ("0.0,0,-1,10", "k"),
+            ("0.0,-2,0,10", "j"),
+            ("0.0,1.5,0,10", "j"),
+            ("0.0,0,0,-3", "count"),
+            ("zero,0,0,10", "phase_rad"),
+            ("0.0,0,0,10,1", "count"),
+        ],
+    )
+    def test_malformed_counts_row_exits_config(self, tmp_path, capsys, row, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# trials_per_phase=100\nphase_rad,j,k,count\n0.0,0,0,5\n{row}\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", bad, "--cutoff", 3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and repr(row) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, field",

@@ -299,6 +299,46 @@ class TestPhaseSeries:
                     assert np.max(np.abs(p[row] - povm_s.theta.T @ pops @ povm_i.theta)) < 1e-12
                     assert np.max(np.abs(dp[row] - povm_s.theta.T @ dpops @ povm_i.theta)) < 1e-12
 
+    @staticmethod
+    def _assert_matches_exponentials(series, thetas):
+        # values to 1e-13 of max|c|, derivatives to 1e-13 of W max|c|
+        W = (series.coeffs.shape[0] - 1) // 2
+        scale = np.max(np.abs(series.coeffs))
+        p, dp = _series_extended(series, thetas)
+        got_p = series.values(thetas)
+        assert got_p.shape == thetas.shape + series.coeffs.shape[1:]
+        assert np.max(np.abs(got_p.reshape(thetas.size, -1) - p)) <= 1e-13 * scale
+        got_dp = series.derivatives(thetas).reshape(thetas.size, -1)
+        assert np.max(np.abs(got_dp - dp)) <= 1e-13 * max(W, 1) * scale
+
+    def test_real_evaluation_of_arbitrary_complex_coefficients(self):
+        # the cos/sin identity holds for any complex c_w; these coefficient
+        # arrays are not conjugate-symmetric, so Im f would not vanish
+        rng = np.random.default_rng(1501)
+        for W in (0, 1, 2, 5, 10, 13):
+            for trailing in ((), (3,), (4, 5)):
+                shape = (2 * W + 1, *trailing)
+                coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                coeffs *= 10.0 ** rng.uniform(-3.0, 3.0)
+                series = optics.PhaseSeries(coeffs)
+                assert not np.allclose(coeffs, coeffs[::-1].conj())
+                thetas = rng.uniform(-4 * math.pi, 4 * math.pi, 300)
+                self._assert_matches_exponentials(series, thetas)
+                # a scalar phase gives f's own shape
+                assert series.values(0.7).shape == trailing
+                assert np.allclose(series.values(0.7), series.values(np.array([0.7]))[0])
+
+    @pytest.mark.parametrize("max_photons", range(3, 12))
+    def test_outcome_series_match_exponentials(self, max_photons):
+        rng = np.random.default_rng([1502, max_photons])
+        lossless = max_photons % 2 == 1
+        etas = np.ones(4) if lossless else rng.uniform(0.5, 0.99, 4)
+        cfg = _config(rng.uniform(0.05, 0.6), LossModel(*etas), max_photons=max_photons)
+        pnr = _pnr(max_photons)
+        grid = np.concatenate([default_phase_grid(64), rng.uniform(-math.pi, 3 * math.pi, 64)])
+        for povm in (pnr, click_povm_from(pnr)):
+            self._assert_matches_exponentials(outcome_series(cfg, povm, povm), grid)
+
 
 class TestParityBlocks:
     """Every stage conserves the parity of n_s + n_i, so sigma4 and dsigma4 are
@@ -482,13 +522,20 @@ class TestMirrorSymmetry:
         assert len(calls) == 2 * 16
 
 
-def _cfi_extended(series, grid):
-    """Per-phase CFI of an outcome series in extended precision: the oracle
-    that both double-precision evaluations are measured against."""
+def _series_extended(series, grid):
+    """(values, derivatives) of a phase series on a grid, flattened to one row
+    per phase, in extended precision from the complex exponentials:
+    Re sum_w c_w exp(i w theta) and Re sum_w i w c_w exp(i w theta)."""
     w = series.frequencies.astype(np.longdouble)
     E = np.exp(1j * np.multiply.outer(np.asarray(grid, dtype=np.longdouble), w))
     c = series.coeffs.reshape(w.size, -1).astype(np.clongdouble)
-    p, dp = (E @ c).real, ((E * (1j * w)) @ c).real
+    return (E @ c).real, ((E * (1j * w)) @ c).real
+
+
+def _cfi_extended(series, grid):
+    """Per-phase CFI of an outcome series in extended precision: the oracle
+    that both double-precision evaluations are measured against."""
+    p, dp = _series_extended(series, grid)
     live = p > P_FLOOR
     return np.sum(np.where(live, dp * dp / np.where(live, p, 1.0), 0.0), axis=1).astype(float)
 
