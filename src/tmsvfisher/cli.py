@@ -192,9 +192,16 @@ def cmd_loss_scan(args):
     cutoff = FockCutoff(_size(opts.get("cutoff"), "cutoff", 10))
     n_phases = _size(opts.get("phases"), "phases", 2048)
     n_max = _size(opts.get("n_max"), "n-max", cutoff.max_photons)
+    if not squeezing.mean_photons > 0.0:
+        raise ConfigError("loss-scan needs a mean photon number > 0 (field: z/nbar)")
     loss_grid = _parse_floats(args.loss_grid, "loss-grid")
     if not loss_grid:
         raise ConfigError("loss grid must be nonempty (field: loss-grid)")
+    if not all(0.0 <= lv <= 1.0 for lv in loss_grid):
+        raise ConfigError(f"loss grid values must lie in [0, 1]: {args.loss_grid!r} "
+                          "(field: loss-grid)")
+    if not 0.0 <= args.scan_loss <= 1.0:
+        raise ConfigError(f"scan loss must lie in [0, 1], got {args.scan_loss} (field: scan-loss)")
     if args.loss_model:
         etas = _parse_floats(args.loss_model, "loss-model")
         if len(etas) != 4:
@@ -205,6 +212,9 @@ def cmd_loss_scan(args):
     else:
         base_loss = LossModel()
     nbar_grid = _parse_floats(args.nbar_grid, "nbar-grid")
+    if not nbar_grid or not all(nb > 0.0 for nb in nbar_grid):
+        raise ConfigError(f"nbar grid must be nonempty, with values > 0: {args.nbar_grid!r} "
+                          "(field: nbar-grid)")
     pnr = ideal_pnr_povm(n_max, cutoff.max_photons)
     click = click_povm_from(pnr)
     meta = _provenance(opts)

@@ -201,7 +201,7 @@ class TomographyDiagnostics:
 
 
 def simulate_response(
-    povm: DetectorPovm, probes: ProbeSet, rng: np.random.Generator | None = None
+    povm: DetectorPovm, probes: ProbeSet, rng: "np.random.Generator | None" = None
 ) -> ResponseMatrix:
     """Synthetic response matrix for a known POVM; exact frequencies if rng is None.
 

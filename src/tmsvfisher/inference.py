@@ -549,8 +549,7 @@ def bootstrap_ci(
 
 def snl_with_uncertainty(fit: FitResult, level: float = 0.95) -> tuple:
     """Delta-method interval for the SNL = n_bar(z_hat); clamped at 0."""
-    # imported here, not at module level, to keep scipy out of a CLI start
-    from scipy import special
+    from statistics import NormalDist
 
     if fit.covariance is None or "z" not in fit.free_names:
         raise ConfigError("fit result carries no z covariance")
@@ -558,6 +557,6 @@ def snl_with_uncertainty(fit: FitResult, level: float = 0.95) -> tuple:
     var_z = max(float(fit.covariance[i, i]), 0.0)
     z = fit.estimates["z"]
     dn_dz = 4.0 * z / (1.0 - z**2) ** 2
-    half = special.ndtri(0.5 + level / 2.0) * math.sqrt(var_z) * abs(dn_dz)
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var_z) * abs(dn_dz)
     n_bar = fit.n_bar_hat
     return n_bar, (max(n_bar - half, 0.0), n_bar + half)

@@ -34,9 +34,10 @@ QFI_EIG_FLOOR = 1e-12
 DSUM_TOL = 1e-9
 # Phases evaluated per matrix product on a grid. It bounds the per-block
 # arrays, so peak memory does not grow with the grid size, and it keeps each
-# product below OpenBLAS's threading cut-over: at cutoff 10 a real
-# 256x21 @ 21x121 product runs on one thread in 42 us, while a 512-row one
-# wakes the second thread and takes 374 us (2 vCPUs, scipy-openblas 0.3.31).
+# product below OpenBLAS's threading cut-over: a real 256x21 @ 21x121 product
+# runs on one thread in 42 us, while a 512-row one wakes the second thread and
+# takes 374 us (2 vCPUs, scipy-openblas 0.3.31). At cutoff 10 the cosine
+# table of a block is 256x11.
 PHASE_BLOCK = 256
 # Phases whose mirror keys min(t, 2 pi - t) differ by at most this share one
 # QFI evaluation: a few ulps of 2 pi, the rounding np.linspace leaves between

@@ -92,59 +92,55 @@ def tmsv_state(z: float, cutoff: FockCutoff) -> np.ndarray:
 
 
 def _bs_block(eta: float, N: int) -> np.ndarray:
-    """Exact (N+1)x(N+1) beam-splitter unitary on the total-photon-number-N block.
+    """Real (N+1)x(N+1) beam-splitter block on total photon number N.
 
-    Matrix elements from the binomial expansion of
-    (t a^dag + i r b^dag)^m (i r a^dag + t b^dag)^(N-m) on vacuum,
-    with t = sqrt(eta), r = sqrt(1-eta). Column m is the input |m, N-m>.
+    The beam splitter is exp(2i phi J_x), with cos(phi) = sqrt(eta) and
+    J_x = (a_s^dag a_i + a_s a_i^dag)/2. On the basis |m, N - m> J_x is
+    tridiagonal, with off-diagonal entries sqrt((m + 1)(N - m))/2 and the exact
+    eigenvalues m - N/2, so one eigh gives the block (Wigner d by exact
+    diagonalization: Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)). Its
+    entries U[m', m] are i^(m + m') times a real number; the block returned is
+    that real R[m', m] = i^-(m + m') U[m', m]. Column m is the input |m, N-m>.
     """
-    t = math.sqrt(eta)
-    r = math.sqrt(1.0 - eta)
-    U = np.zeros((N + 1, N + 1), dtype=complex)
-    lf = [math.lgamma(k + 1) for k in range(N + 1)]
-    for m in range(N + 1):
-        n = N - m
-        for mp in range(N + 1):
-            npp = N - mp
-            amp = 0.0 + 0.0j
-            for p in range(max(0, mp - n), min(m, mp) + 1):
-                q = mp - p
-                amp += (
-                    math.comb(m, p)
-                    * math.comb(n, q)
-                    * t ** (p + n - q)
-                    * (1j * r) ** (m - p + q)
-                )
-            scale = math.exp(0.5 * (lf[mp] + lf[npp] - lf[m] - lf[n]))
-            U[mp, m] = amp * scale
-    return U
+    m = np.arange(N + 1)
+    off = 0.5 * np.sqrt(m[1:] * (N - m[:-1]))
+    _, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    U = (V * np.exp(2j * math.acos(math.sqrt(eta)) * (m - 0.5 * N))) @ V.T
+    ph = np.array([1, -1j, -1, 1j])[m % 4]  # i^-m
+    return (ph[:, None] * U * ph[None, :]).real
 
 
 @lru_cache(maxsize=64)
-def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
-    """Joint-space beam splitter, block-diagonal in total photon number.
+def _bs_rephased(eta: float, max_photons: int) -> np.ndarray:
+    """Joint-space beam splitter U in the real rephased basis, R = P^dag U P^dag
+    with P = diag(i^n_s), block-diagonal in total photon number.
 
-    Blocks with total N <= max_photons are exact unitaries. Higher blocks are
-    incomplete under the per-mode truncation; the exact sub-block is replaced
-    by its closest unitary (SVD polar factor) so the full operator is unitary
-    and trace is preserved; the distortion is confined to the truncation tail.
+    Blocks with total N <= max_photons are exact. Higher blocks are incomplete
+    under the per-mode truncation; the exact sub-block is replaced by its
+    closest orthogonal matrix (SVD polar factor), so U stays unitary and trace
+    is preserved, and the distortion is confined to the truncation tail. A
+    singular sub-block's polar factor is not unique; taking it of the real R
+    keeps the theta -> -theta symmetry (docs/decisions.md, entry 4).
     """
     d = max_photons + 1
-    U = np.zeros((d * d, d * d), dtype=complex)
+    R = np.zeros((d * d, d * d))
     for N in range(2 * max_photons + 1):
         ks = np.arange(max(0, N - max_photons), min(max_photons, N) + 1)
         idx = ks * d + (N - ks)
-        block = _bs_block(eta, N)
-        sub = block[np.ix_(ks, ks)]
+        sub = _bs_block(eta, N)[np.ix_(ks, ks)]
         if len(ks) < N + 1:
-            # sub[a, b] is i^(a+b) times a real number. Take the polar factor
-            # of that real matrix: a singular block's factor is not unique,
-            # and only a real choice keeps the theta -> -theta symmetry.
-            ph = np.array([1, 1j, -1, -1j])[ks % 4]
-            u, _, vh = np.linalg.svd((ph.conj()[:, None] * sub * ph.conj()[None, :]).real)
-            sub = ph[:, None] * (u @ vh) * ph[None, :]
-        U[np.ix_(idx, idx)] = sub
-    return U
+            u, _, vh = np.linalg.svd(sub)
+            sub = u @ vh
+        R[np.ix_(idx, idx)] = sub
+    R.flags.writeable = False
+    return R
+
+
+def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
+    """Joint-space beam splitter U = P R P, with R = _bs_rephased and P = diag(i^n_s)."""
+    d = max_photons + 1
+    ph = np.array([1, 1j, -1, -1j])[np.arange(d * d) // d % 4]
+    return ph[:, None] * _bs_rephased(eta, max_photons) * ph[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -224,53 +220,35 @@ def _apply_loss(rho: np.ndarray, d: int, L_s=None, L_i=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Exact trigonometric polynomial f(theta) = Re sum_{w=-W..W} c_w exp(i w theta).
+    """Exact cosine series f(theta) = sum_{w=0..W} a_w cos(w theta).
 
-    coeffs[w + W] holds c_w; any trailing axes are the shape of f. For any
-    complex c_w, conjugate-symmetric or not, f is the real series
-
-        f(theta) = sum_{w=0..W} (a_w cos(w theta) + b_w sin(w theta)),
-
-    with a_0 = Re c_0, a_w = Re(c_w + c_{-w}) and b_w = Im(c_{-w} - c_w), and
-    its derivative is exact: sum_w w (b_w cos(w theta) - a_w sin(w theta)).
-    Evaluating a phase grid is one real matrix product T @ R, with
-    T[theta] = (cos(w theta) for w = 0..W, sin(w theta) for w = 1..W) and R
-    the matching rows (a_0..a_W, b_1..b_W); the derivative is T @ R' with the
-    same T.
+    coeffs[w] holds a_w; any trailing axes are the shape of f. Every outcome
+    probability of this model is even in theta (pair_sector_map), so it has no
+    sine terms. The derivative is exact: -sum_{w=1..W} w a_w sin(w theta).
+    Evaluating a phase grid is one real matrix product: the table of
+    cos(w theta) times a for f, the table of sin(w theta) times -w a for
+    df/dtheta.
     """
 
     coeffs: np.ndarray
 
     @property
-    def frequencies(self) -> np.ndarray:
-        half = (self.coeffs.shape[0] - 1) // 2
-        return np.arange(-half, half + 1)
-
-    @cached_property
-    def _real_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, R'): the rows of T that give f and df/dtheta, flattened to 2-D."""
-        half = (self.coeffs.shape[0] - 1) // 2
-        c = self.coeffs.reshape(2 * half + 1, -1)
-        pos, neg = c[half:], c[half::-1]  # c_w and c_{-w} for w = 0..W
-        a = (pos + neg).real
-        a[0] = pos[0].real
-        b = (neg[1:] - pos[1:]).imag
-        w = np.arange(1, half + 1)[:, None]
-        return np.vstack([a, b]), np.vstack([np.zeros_like(a[:1]), w * b, -w * a[1:]])
+    def _rows(self) -> np.ndarray:
+        """The coefficients flattened to one row per w."""
+        return self.coeffs.reshape(self.coeffs.shape[0], -1)
 
     def values(self, thetas) -> np.ndarray:
         """f at each phase; shape thetas.shape + the coefficients' trailing shape."""
-        return self._evaluate(thetas, derivative=False)
+        return self._evaluate(thetas, np.cos, np.arange(self._rows.shape[0]), self._rows)
 
     def derivatives(self, thetas) -> np.ndarray:
         """df/dtheta at each phase, in the shape of values()."""
-        return self._evaluate(thetas, derivative=True)
+        w = np.arange(1, self._rows.shape[0])
+        return self._evaluate(thetas, np.sin, w, -w[:, None] * self._rows[1:])
 
-    def _evaluate(self, thetas, derivative: bool) -> np.ndarray:
+    def _evaluate(self, thetas, trig, w, rows) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        wt = np.multiply.outer(thetas.ravel(), np.arange((self.coeffs.shape[0] + 1) // 2))
-        T = np.hstack([np.cos(wt), np.sin(wt[:, 1:])])
-        out = T @ self._real_rows[derivative]
+        out = trig(np.multiply.outer(thetas.ravel(), w)) @ rows
         return out.reshape(thetas.shape + self.coeffs.shape[1:])
 
 
@@ -312,9 +290,9 @@ class PairSectorMap:
     Output joint index k = (k_s, k_i) of total photon number N_k reads q only
     at (a, N_k - a): out[..., k] = sum_a coeffs[..., k, a] q[a, N_k - a].
     cols[k, a] is the joint index of (a, N_k - a), clipped into range where
-    N_k - a is not a photon number; coeffs is 0 there. The leading axes of
-    coeffs are the frequencies w = -M..M of a phase series (complex) or, after
-    at_phases, a grid of phases (real).
+    N_k - a is not a photon number; coeffs is 0 there. The leading axis of
+    coeffs holds the cosine coefficients w = 0..M of a phase series or, after
+    at_phases, a grid of phases.
     """
 
     coeffs: np.ndarray
@@ -326,37 +304,39 @@ class PairSectorMap:
         return out.reshape(out.shape[:-1] + q.shape)
 
     def at_phases(self, thetas) -> "PairSectorMap":
-        """The map at fixed phases, its phase series evaluated: one real slice per phase."""
+        """The map at fixed phases, its phase series evaluated: one slice per phase."""
         return PairSectorMap(PhaseSeries(self.coeffs).values(thetas), self.cols)
 
 
 @lru_cache(maxsize=8)
 def pair_sector_map(max_photons: int) -> PairSectorMap:
-    """Pair distribution -> Fourier coefficients of diag(sigma3(theta)).
+    """Pair distribution -> cosine coefficients of diag(sigma3(theta)).
 
     Every stage before detection conserves N = n_s + n_i, and preparation loss
     leaves each fixed-N block of sigma2 diagonal, with q[a, N - a] on its
-    diagonal. With U the balanced beam splitter (block-diagonal in N, polar
-    factors on the truncated blocks, as in _bs_matrix) and
-    g[k, m, a] = U[k, (m, N - m)] U[(m, N - m), (a, N - a)], the coefficient of
-    exp(i w theta) in diag(sigma3)[k] is sum_a T[w, k, a] q[a, N - a], with
-    T[w, k, a] = sum_{m - x = w} g[k, m, a] conj(g[k, x, a]). Costs O(d^5)
-    once per cutoff; the returned arrays are read-only.
+    diagonal. The amplitude of output k from input (a, N - a) is
+    sum_m g[k, m, a] exp(i theta (m - N/2)), with
+    g[k, m, a] = U[k, (m, N - m)] U[(m, N - m), (a, N - a)] for the balanced
+    beam splitter U = P R P of _bs_matrix. Since P = diag(i^n_s),
+    g = i^(k_s + a) (-1)^m G with G[k, m, a] = R[k, (m, N - m)] R[(m, N - m),
+    (a, N - a)] real, so the coefficient of exp(i w theta) in diag(sigma3)[k],
+    sum_a sum_{m - x = w} g[k, m, a] conj(g[k, x, a]) q[a, N - a], has the real
+    kernel (-1)^w sum_{m - x = w} G[k, m, a] G[k, x, a], the same for w and -w.
+    The populations are therefore even in theta, with cosine coefficients
+    T[w] = (2 - [w = 0]) (-1)^w sum_{m - x = w} G[k, m, a] G[k, x, a].
+    Costs O(d^5) once per cutoff; the returned arrays are read-only.
     """
     d = max_photons + 1
-    U = _bs_matrix(_BALANCED, max_photons)
+    R = _bs_rephased(_BALANCED, max_photons)
     k_s, k_i = np.divmod(np.arange(d * d), d)
     n = np.arange(d)
     # joint index of (n, N_k - n); where N_k - n falls outside [0, M], the
-    # clipped index lies in another N-block and U is 0 there
+    # clipped index lies in another N-block and R is 0 there
     cols = n[None, :] * d + np.clip((k_s + k_i)[:, None] - n[None, :], 0, max_photons)
-    u = np.take_along_axis(U, cols, axis=1)
-    g = u[:, :, None] * U[cols[:, :, None], cols[:, None, :]]
-    T = np.empty((2 * d - 1, d * d, d), dtype=complex)
-    for w in range(-max_photons, d):
-        m = slice(max(w, 0), d + min(w, 0))  # m and x = m - w both in [0, M]
-        x = slice(m.start - w, m.stop - w)
-        T[w + max_photons] = np.sum(g[:, m, :] * g[:, x, :].conj(), axis=1)
+    G = np.take_along_axis(R, cols, axis=1)[:, :, None] * R[cols[:, :, None], cols[:, None, :]]
+    T = np.empty((d, d * d, d))
+    for w in range(d):
+        T[w] = (2 - (w == 0)) * (-1) ** w * np.sum(G[:, w:, :] * G[:, : d - w, :], axis=1)
     T.flags.writeable = False
     cols.flags.writeable = False
     return PairSectorMap(T, cols)

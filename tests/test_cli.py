@@ -407,6 +407,21 @@ class TestFit:
         (("fit", "{counts}", "--cutoff", 0, "--out", "{tmp}/fit.json"), "cutoff"),
         (("fit", "{counts}", "--cutoff", 3, "--n-max", 0, "--out", "{tmp}/fit.json"), "n-max"),
         (("sweep", "--config", "{fraction}", "--out-prefix", "{tmp}/run_"), "phases"),
+        # loss-scan's grids and n_bar are checked before its first sweep
+        (("loss-scan", "--z", 0.1, "--cutoff", 3, "--scan-loss", 1.5,
+          "--out-dir", "{tmp}"), "scan-loss"),
+        (("loss-scan", "--z", 0.1, "--cutoff", 3, "--loss-grid", "0,0.1,1.5",
+          "--out-dir", "{tmp}"), "loss-grid"),
+        (("loss-scan", "--z", 0.1, "--cutoff", 3, "--loss-grid", "0,-0.1",
+          "--out-dir", "{tmp}"), "loss-grid"),
+        (("loss-scan", "--z", 0.1, "--cutoff", 3, "--nbar-grid", "0.1,-1",
+          "--out-dir", "{tmp}"), "nbar-grid"),
+        (("loss-scan", "--z", 0.1, "--cutoff", 3, "--nbar-grid", "0.1,0",
+          "--out-dir", "{tmp}"), "nbar-grid"),
+        (("loss-scan", "--z", 0.1, "--cutoff", 3, "--nbar-grid", "",
+          "--out-dir", "{tmp}"), "nbar-grid"),
+        (("loss-scan", "--z", 0, "--cutoff", 3, "--out-dir", "{tmp}"), "z/nbar"),
+        (("loss-scan", "--nbar", 0, "--cutoff", 3, "--out-dir", "{tmp}"), "z/nbar"),
     ],
 )
 def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypatch,
@@ -457,13 +472,35 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special alone more than doubles the time a CLI start spends
-    # importing; only tomography and the SNL interval need it
+    # importing; only tomography needs it
     assert _loaded_after_cli_import("scipy") == "False"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, which costs every CLI start a
+    # few milliseconds; the commands that draw import it when they run
+    assert _loaded_after_cli_import("numpy.random") == "False"
+
+
+def test_cli_fit_leaves_scipy_unloaded(tmp_path):
+    # the fit, its covariance and its SNL interval run without scipy
+    counts = tmp_path / "counts.csv"
+    assert run("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 4,
+               "--trials", 20000, "--seed", 5, "--out", counts) == 0
+    code = ("import sys; from tmsvfisher.cli import main; "
+            f"assert main(['fit', {str(counts)!r}, '--cutoff', '3', '--starts', '2', "
+            f"'--seed', '1', '--out', {str(tmp_path / 'fit.json')!r}]) == 0; "
+            "print('scipy' in sys.modules)")
+    src = str(Path(tmsvfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about a third of a second of every CLI start, and
-    # only fit and bootstrap use it
+    # no command uses it
     assert _loaded_after_cli_import("scipy.optimize") == "False"
 
 

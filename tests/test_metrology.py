@@ -300,9 +300,9 @@ class TestPhaseSeries:
                     assert np.max(np.abs(dp[row] - povm_s.theta.T @ dpops @ povm_i.theta)) < 1e-12
 
     @staticmethod
-    def _assert_matches_exponentials(series, thetas):
-        # values to 1e-13 of max|c|, derivatives to 1e-13 of W max|c|
-        W = (series.coeffs.shape[0] - 1) // 2
+    def _assert_matches_extended(series, thetas):
+        # values to 1e-13 of max|a|, derivatives to 1e-13 of W max|a|
+        W = series.coeffs.shape[0] - 1
         scale = np.max(np.abs(series.coeffs))
         p, dp = _series_extended(series, thetas)
         got_p = series.values(thetas)
@@ -311,19 +311,15 @@ class TestPhaseSeries:
         got_dp = series.derivatives(thetas).reshape(thetas.size, -1)
         assert np.max(np.abs(got_dp - dp)) <= 1e-13 * max(W, 1) * scale
 
-    def test_real_evaluation_of_arbitrary_complex_coefficients(self):
-        # the cos/sin identity holds for any complex c_w; these coefficient
-        # arrays are not conjugate-symmetric, so Im f would not vanish
+    def test_real_evaluation_of_random_cosine_coefficients(self):
         rng = np.random.default_rng(1501)
         for W in (0, 1, 2, 5, 10, 13):
             for trailing in ((), (3,), (4, 5)):
-                shape = (2 * W + 1, *trailing)
-                coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                coeffs = rng.standard_normal((W + 1, *trailing))
                 coeffs *= 10.0 ** rng.uniform(-3.0, 3.0)
                 series = optics.PhaseSeries(coeffs)
-                assert not np.allclose(coeffs, coeffs[::-1].conj())
                 thetas = rng.uniform(-4 * math.pi, 4 * math.pi, 300)
-                self._assert_matches_exponentials(series, thetas)
+                self._assert_matches_extended(series, thetas)
                 # a scalar phase gives f's own shape
                 assert series.values(0.7).shape == trailing
                 assert np.allclose(series.values(0.7), series.values(np.array([0.7]))[0])
@@ -337,7 +333,13 @@ class TestPhaseSeries:
         pnr = _pnr(max_photons)
         grid = np.concatenate([default_phase_grid(64), rng.uniform(-math.pi, 3 * math.pi, 64)])
         for povm in (pnr, click_povm_from(pnr)):
-            self._assert_matches_exponentials(outcome_series(cfg, povm, povm), grid)
+            series = outcome_series(cfg, povm, povm)
+            # real cosine coefficients w = 0..M, like the pair-sector map's
+            assert series.coeffs.dtype == np.float64
+            assert series.coeffs.shape[0] == max_photons + 1
+            self._assert_matches_extended(series, grid)
+        T = optics.pair_sector_map(max_photons).coeffs
+        assert T.dtype == np.float64 and T.shape[0] == max_photons + 1
 
 
 class TestParityBlocks:
@@ -523,13 +525,13 @@ class TestMirrorSymmetry:
 
 
 def _series_extended(series, grid):
-    """(values, derivatives) of a phase series on a grid, flattened to one row
-    per phase, in extended precision from the complex exponentials:
-    Re sum_w c_w exp(i w theta) and Re sum_w i w c_w exp(i w theta)."""
-    w = series.frequencies.astype(np.longdouble)
-    E = np.exp(1j * np.multiply.outer(np.asarray(grid, dtype=np.longdouble), w))
-    c = series.coeffs.reshape(w.size, -1).astype(np.clongdouble)
-    return (E @ c).real, ((E * (1j * w)) @ c).real
+    """(values, derivatives) of a cosine series on a grid, flattened to one row
+    per phase, in extended precision: sum_w a_w cos(w theta) and
+    -sum_w w a_w sin(w theta)."""
+    w = np.arange(series.coeffs.shape[0], dtype=np.longdouble)
+    wt = np.multiply.outer(np.asarray(grid, dtype=np.longdouble), w)
+    a = series.coeffs.reshape(w.size, -1).astype(np.longdouble)
+    return np.cos(wt) @ a, (np.sin(wt) * -w) @ a
 
 
 def _cfi_extended(series, grid):

@@ -149,16 +149,26 @@ class TestBeamSplitter:
     def test_matches_expm_oracle_on_complete_blocks(self):
         # compare against scipy expm at a larger internal cutoff so the
         # oracle's own truncation error stays in the tail
-        d_small, d_big = 5, 12
-        U_lib = optics._bs_matrix(0.5, d_small - 1)
-        U_big = bs_expm(0.5, d_big)
-        for ns in range(d_small):
-            for ni in range(d_small):
-                if ns + ni >= d_small:
-                    continue  # only complete blocks are construction-exact
-                col_big = U_big[:, ns * d_big + ni].reshape(d_big, d_big)
-                col_lib = U_lib[:, ns * d_small + ni].reshape(d_small, d_small)
-                assert np.max(np.abs(col_big[:d_small, :d_small] - col_lib)) < 1e-10
+        for d_small in (5, 11, 21):
+            d_big = d_small + 7
+            U_lib = optics._bs_matrix(0.5, d_small - 1)
+            U_big = bs_expm(0.5, d_big)
+            for ns in range(d_small):
+                for ni in range(d_small):
+                    if ns + ni >= d_small:
+                        continue  # only complete blocks are construction-exact
+                    col_big = U_big[:, ns * d_big + ni].reshape(d_big, d_big)
+                    col_lib = U_lib[:, ns * d_small + ni].reshape(d_small, d_small)
+                    assert np.max(np.abs(col_big[:d_small, :d_small] - col_lib)) < 1e-13
+
+    def test_blocks_orthogonal_up_to_160_photons(self):
+        # one eigh of J_x per block; the binomial sum this replaced lost
+        # orthogonality by 3e-6 at N = 80 and was garbage at N = 160
+        for eta in (0.3, 0.5):
+            for N in range(161):
+                R = optics._bs_block(eta, N)
+                assert R.dtype == np.float64
+                assert np.max(np.abs(R.T @ R - np.eye(N + 1))) < 1e-13
 
 
 class TestBinomialPopulationMatrix:
