@@ -40,7 +40,7 @@ from .metrology import (
     sweep_fisher,
     write_csv,
 )
-from .optics import InterferometerConfig, LossModel, SqueezingParams
+from .optics import InterferometerConfig, LossModel, SqueezingParams, truncation_mass
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,7 +182,8 @@ def cmd_sweep(args):
     report.to_json(f"{out}fisher.json")
     frac = f"{sub_snl_fraction(report):.4f}" if report.snl > 0 else "n/a (snl=0)"
     print(f"wrote {out}fisher.csv and {out}fisher.json "
-          f"(snl={report.snl!r}, sub-SNL fraction={frac})")
+          f"(snl={report.snl!r}, sub-SNL fraction={frac}) "
+          f"truncation_mass={report.metadata['truncation_mass']!r}")
     return EXIT_OK
 
 
@@ -217,7 +218,15 @@ def cmd_loss_scan(args):
                           "(field: nbar-grid)")
     pnr = ideal_pnr_povm(n_max, cutoff.max_photons)
     click = click_povm_from(pnr)
+    scan_loss = LossModel.symmetric(1.0 - args.scan_loss)
     meta = _provenance(opts)
+    # the largest mass the cutoff drops from a config the scan evaluates; the
+    # loss grid scales only detection, which drops nothing
+    meta["truncation_mass"] = max(
+        truncation_mass(sq, loss, cutoff)
+        for sq, loss in [(squeezing, base_loss)]
+        + [(SqueezingParams.from_mean_photons(nb), scan_loss) for nb in nbar_grid]
+    )
     grid = default_phase_grid(n_phases)
 
     rows = []
@@ -245,9 +254,7 @@ def cmd_loss_scan(args):
         list(zip(*rows)),
     )
 
-    scan = pnr_click_ratio(
-        nbar_grid, LossModel.symmetric(1.0 - args.scan_loss), cutoff, n_max=n_max
-    )
+    scan = pnr_click_ratio(nbar_grid, scan_loss, cutoff, n_max=n_max)
     write_csv(
         os.path.join(args.out_dir, "ratio_vs_nbar.csv"),
         meta,
@@ -257,12 +264,7 @@ def cmd_loss_scan(args):
 
     sub_rows = []
     for nb in nbar_grid:
-        cfg = InterferometerConfig(
-            SqueezingParams.from_mean_photons(nb),
-            LossModel.symmetric(1.0 - args.scan_loss),
-            0.0,
-            cutoff,
-        )
+        cfg = InterferometerConfig(SqueezingParams.from_mean_photons(nb), scan_loss, 0.0, cutoff)
         rep_p = sweep_fisher(cfg, grid, pnr, pnr, compute_qfi=False)
         rep_c = sweep_fisher(cfg, grid, click, click, compute_qfi=False)
         sub_rows.append((nb, sub_snl_fraction(rep_p), sub_snl_fraction(rep_c)))
@@ -272,7 +274,8 @@ def cmd_loss_scan(args):
         "n_bar,subsnl_pnr,subsnl_click",
         list(zip(*sub_rows)),
     )
-    print(f"wrote fi_vs_loss.csv, ratio_vs_nbar.csv, subsnl_vs_nbar.csv in {args.out_dir}")
+    print(f"wrote fi_vs_loss.csv, ratio_vs_nbar.csv, subsnl_vs_nbar.csv in {args.out_dir} "
+          f"truncation_mass={meta['truncation_mass']!r}")
     return EXIT_OK
 
 
@@ -329,12 +332,15 @@ def cmd_fit(args):
     if not fit.converged:
         raise NonConvergenceError("model fit did not converge from any start")
     snl, interval = snl_with_uncertainty(fit)
+    est = fit.estimates
+    loss = LossModel(est["eta_p_s"], est["eta_p_i"], est["eta_d_s"], est["eta_d_i"])
     fit.to_json(
         args.out,
         extra={
             "snl": snl,
             "snl_interval": [interval[0], interval[1]],
             "seed": args.seed,
+            "truncation_mass": truncation_mass(SqueezingParams(est["z"]), loss, cutoff),
             "version": __version__,
         },
     )

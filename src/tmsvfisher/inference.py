@@ -110,7 +110,9 @@ def simulate_counts(
     phases = np.asarray(phases, dtype=float)
     probs = outcome_series(config, povm_s, povm_i).values(phases)
     p = np.clip(probs.reshape(phases.size, -1), 0.0, None)
-    # the truncation tail is redistributed; negligible at fit scales
+    # the outcomes fall short of 1 by the mass the cutoff drops
+    # (optics.truncation_mass); renormalising conditions the counts on
+    # n_s + n_i <= M (docs/decisions.md, entry 8)
     p /= p.sum(axis=1, keepdims=True)
     counts = rng.multinomial(trials_per_phase, p).reshape(probs.shape)
     return CountHistogram(phases, counts, trials_per_phase)
@@ -244,6 +246,13 @@ def _default_exclusion_mask(n_j: int, n_k: int, include_single_photon: bool):
     return mask
 
 
+def _fewest_photons(theta: np.ndarray) -> np.ndarray:
+    """Per outcome j of a POVM slice, the fewest photons that can produce it:
+    the first row a with theta[a, j] > 0, or the slice's row count if none."""
+    live = theta > 0
+    return np.where(live.any(axis=0), live.argmax(axis=0), theta.shape[0])
+
+
 class _FitObjective:
     """The fit objective in frequency form, with its exact gradient and its
     expected (Fisher) information in the free natural parameters.
@@ -267,6 +276,17 @@ class _FitObjective:
             raise ConfigError("histogram outcomes exceed the POVMs' outcome counts")
         counts = np.zeros((hist.phases.size, nj, nk))
         counts[:, : hist.counts.shape[1], : hist.counts.shape[2]] = hist.counts
+        # the model holds at most M photons, so a cell whose outcomes need
+        # more has P = 0 exactly and its counts cannot be fitted
+        fewest = np.add.outer(_fewest_photons(self.ths), _fewest_photons(self.thi))
+        unreachable = (fewest > cutoff.max_photons) & (counts.sum(axis=0) > 0)
+        if unreachable.any():
+            j, k = np.argwhere(unreachable)[0]
+            raise ConfigError(
+                f"{int(counts[:, unreachable].sum())} counts fall in outcome cells, such as "
+                f"({j}, {k}), that need more photons than cutoff {cutoff.max_photons} keeps "
+                "(field: cutoff)"
+            )
         self.mask = _default_exclusion_mask(nj, nk, include_single_photon)
         self.cmask = counts[:, self.mask]  # (phases, included cells)
         n_inc = self.cmask.sum(axis=1)
@@ -523,9 +543,9 @@ def bootstrap_ci(
     for a given seed.
     """
     if resamples < 100:
-        raise ConfigError(f"resamples must be >= 100, got {resamples}")
+        raise ConfigError(f"resamples must be >= 100, got {resamples} (field: resamples)")
     if not (0.0 < level < 1.0):
-        raise ConfigError(f"level must be in (0, 1), got {level}")
+        raise ConfigError(f"level must be in (0, 1), got {level} (field: level)")
     flat = hist.counts.reshape(hist.phases.size, -1)
     totals = flat.sum(axis=1)
     probs = flat / np.maximum(totals[:, None], 1)

@@ -24,6 +24,7 @@ from .optics import (
     balanced_tmsv,
     outcome_phase_series,
     phase_generator,
+    truncation_mass,
 )
 
 P_FLOOR = 1e-15
@@ -120,7 +121,8 @@ def quantum_fisher_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
 
 def lossless_qfi(squeezing: SqueezingParams, cutoff: FockCutoff) -> float:
     """QFI of the lossless family U_bs exp(i theta g) a, a = U_bs |TMSV>, at
-    every phase: U_bs is unitary and exp(i theta g) commutes with g, so it is
+    every phase: U_bs is unitary on the sectors n_s + n_i <= M, which hold a
+    and every exp(i theta g) a, and exp(i theta g) commutes with g, so it is
     4 Var_a(g), the pure-state QFI of (a, i g a)."""
     a = balanced_tmsv(squeezing.z, cutoff)
     return quantum_fisher_pure(a, 1j * phase_generator(cutoff) * a)
@@ -296,7 +298,8 @@ def sweep_fisher(
     comes from the outcome phase series. The lossless QFI does not depend on
     the phase and is computed once (lossless_qfi). The lossy QFI comes from
     the engine's series of sigma4's two photon-number-parity blocks, with one
-    eigendecomposition per block per evaluated phase.
+    eigendecomposition per block per evaluated phase. The metadata carries
+    truncation_mass, the probability the cutoff drops (optics.truncation_mass).
 
     Both columns are evaluated once per mirror class of the grid and copied to
     the class's other phases: the model is symmetric under theta -> -theta, so
@@ -340,6 +343,8 @@ def sweep_fisher(
         "version": __version__,
     }
     meta["config_hash"] = config_fingerprint(meta)
+    # an output of the run, not an input, so it stays out of the fingerprint
+    meta["truncation_mass"] = truncation_mass(config.squeezing, config.loss, config.cutoff)
     return FisherReport(phase_grid, cfi, qfi, shot_noise_limit(config.squeezing), meta)
 
 

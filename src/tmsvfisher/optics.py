@@ -115,23 +115,18 @@ def _bs_rephased(eta: float, max_photons: int) -> np.ndarray:
     """Joint-space beam splitter U in the real rephased basis, R = P^dag U P^dag
     with P = diag(i^n_s), block-diagonal in total photon number.
 
-    Blocks with total N <= max_photons are exact. Higher blocks are incomplete
-    under the per-mode truncation; the exact sub-block is replaced by its
-    closest orthogonal matrix (SVD polar factor), so U stays unitary and trace
-    is preserved, and the distortion is confined to the truncation tail. A
-    singular sub-block's polar factor is not unique; taking it of the real R
-    keeps the theta -> -theta symmetry (docs/decisions.md, entry 4).
+    It holds the complete blocks N = n_s + n_i <= max_photons and is zero on
+    every joint index with N > max_photons, whose sectors the per-mode cutoff
+    holds only in part. So U is unitary on the sectors N <= M and zero
+    elsewhere, and every path built on it keeps only those sectors
+    (docs/decisions.md, entry 8).
     """
     d = max_photons + 1
     R = np.zeros((d * d, d * d))
-    for N in range(2 * max_photons + 1):
-        ks = np.arange(max(0, N - max_photons), min(max_photons, N) + 1)
+    for N in range(d):
+        ks = np.arange(N + 1)
         idx = ks * d + (N - ks)
-        sub = _bs_block(eta, N)[np.ix_(ks, ks)]
-        if len(ks) < N + 1:
-            u, _, vh = np.linalg.svd(sub)
-            sub = u @ vh
-        R[np.ix_(idx, idx)] = sub
+        R[np.ix_(idx, idx)] = _bs_block(eta, N)
     R.flags.writeable = False
     return R
 
@@ -283,6 +278,20 @@ def pair_distribution(z: float, eta_s: float, eta_i: float, d: int) -> np.ndarra
     return (binomial_population_matrix(eta_s, d) * pairs) @ binomial_population_matrix(eta_i, d).T
 
 
+def truncation_mass(squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff) -> float:
+    """Probability the model drops at this cutoff M: the pairs n > M the
+    truncated TMSV never holds, z^(2(M+1)), plus the pair distribution on the
+    sectors a + b > M, which no path reads (_bs_rephased). Every later stage
+    maps the sectors N <= M into themselves, so each outcome distribution is
+    a sub-measure of the untruncated one whose total falls short by exactly
+    this mass (docs/decisions.md, entry 8). A sum of positive terms, so it
+    avoids the cancellation in 1 - sum(q)."""
+    n = np.arange(cutoff.dim)
+    q = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, cutoff.dim)
+    dropped = q[np.add.outer(n, n) > cutoff.max_photons].sum()
+    return float(squeezing.z ** (2 * cutoff.dim) + dropped)
+
+
 @dataclass(frozen=True)
 class PairSectorMap:
     """Linear map from the pair distribution q to the pre-detection populations.
@@ -290,7 +299,8 @@ class PairSectorMap:
     Output joint index k = (k_s, k_i) of total photon number N_k reads q only
     at (a, N_k - a): out[..., k] = sum_a coeffs[..., k, a] q[a, N_k - a].
     cols[k, a] is the joint index of (a, N_k - a), clipped into range where
-    N_k - a is not a photon number; coeffs is 0 there. The leading axis of
+    N_k - a is not a photon number; coeffs is 0 there, and on every output with
+    N_k > M, a sector the model drops (_bs_rephased). The leading axis of
     coeffs holds the cosine coefficients w = 0..M of a phase series or, after
     at_phases, a grid of phases.
     """
@@ -331,7 +341,8 @@ def pair_sector_map(max_photons: int) -> PairSectorMap:
     k_s, k_i = np.divmod(np.arange(d * d), d)
     n = np.arange(d)
     # joint index of (n, N_k - n); where N_k - n falls outside [0, M], the
-    # clipped index lies in another N-block and R is 0 there
+    # clipped index lies in another N-block and R is 0 there, as it is on
+    # every row k with N_k > M
     cols = n[None, :] * d + np.clip((k_s + k_i)[:, None] - n[None, :], 0, max_photons)
     G = np.take_along_axis(R, cols, axis=1)[:, :, None] * R[cols[:, :, None], cols[:, None, :]]
     T = np.empty((d, d * d, d))
@@ -401,11 +412,13 @@ class InterferometerEngine:
         self.det_lossless = loss.eta_d_s == 1.0 and loss.eta_d_i == 1.0
         self.Ub = _bs_matrix(_BALANCED, cutoff.max_photons)
         self._g = phase_generator(cutoff)
-        # Every stage conserves the parity of n_s + n_i, which is that of
-        # n_s - n_i = 2g, so sigma4 and its derivative are block-diagonal over
-        # these two index sets.
-        odd = np.mod(2.0 * self._g, 2.0) == 1.0
-        self.parity_blocks = (np.flatnonzero(~odd), np.flatnonzero(odd))
+        # sigma4 is 0 outside the sectors n_s + n_i <= M that Ub keeps, and
+        # every stage conserves the parity of n_s + n_i, so sigma4 and its
+        # derivative are block-diagonal over these two index sets.
+        n_s, n_i = np.divmod(np.arange(cutoff.joint_dim), cutoff.dim)
+        total = n_s + n_i
+        kept = total <= cutoff.max_photons
+        self.parity_blocks = tuple(np.flatnonzero(kept & (total % 2 == r)) for r in (0, 1))
 
     @cached_property
     def sigma2(self) -> np.ndarray:

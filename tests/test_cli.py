@@ -23,6 +23,7 @@ from tmsvfisher.detectors import (
     write_probe_csv,
 )
 from tmsvfisher.inference import CountHistogram
+from tmsvfisher.optics import truncation_mass
 
 
 def run(*argv):
@@ -83,13 +84,21 @@ class TestSweep:
         assert run("sweep", "--z", 0.2, "--cutoff", 4, "--phases", 8,
                    "--detector", "click", "--no-qfi", "--out-prefix", prefix) == 0
 
-    def test_provenance_embedded(self, tmp_path):
+    def test_provenance_embedded(self, tmp_path, capsys):
         prefix = str(tmp_path / "prov_")
         run("sweep", "--z", 0.2, "--cutoff", 4, "--phases", 8,
             "--no-qfi", "--out-prefix", prefix)
         text = (tmp_path / "prov_fisher.csv").read_text()
         assert "# config_hash=" in text
         assert "# version=" in text
+        # lossless z = 0.2 at cutoff 4 drops the pairs n >= 3, of mass z^6;
+        # both files and the printed line carry it
+        mass = json.loads((tmp_path / "prov_fisher.json").read_text())["metadata"][
+            "truncation_mass"
+        ]
+        assert mass == pytest.approx(0.2**6, rel=1e-12)
+        assert f"# truncation_mass={mass!r}\n" in text
+        assert capsys.readouterr().out.rstrip().endswith(f"truncation_mass={mass!r}")
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -308,6 +317,22 @@ class TestFit:
         assert [sorted(s) for s in payload["starts"]] == [["nfev", "nit"]] * 3
         assert payload["best_start"] in (0, 1, 2)
         assert list(payload) == sorted(payload)
+        # the mass the cutoff drops, at the estimates
+        est = payload["estimates"]
+        loss = LossModel(est["eta_p_s"], est["eta_p_i"], est["eta_d_s"], est["eta_d_i"])
+        want = truncation_mass(SqueezingParams(est["z"]), loss, FockCutoff(3))
+        assert payload["truncation_mass"] == want > 0
+
+    def test_counts_beyond_the_cutoff_exit_config(self, tmp_path, capsys):
+        # counts simulated at cutoff 8 and saturating at 3 photons per arm put
+        # counts in cells (j, k) with j + k > 3, which cutoff 3 cannot produce
+        counts = tmp_path / "counts.csv"
+        assert run("simulate-counts", "--z", 0.3, "--cutoff", 8, "--n-max", 3,
+                   "--phases", 4, "--trials", 100000, "--seed", 3, "--out", counts) == 0
+        out = tmp_path / "fit.json"
+        assert run("fit", counts, "--cutoff", 3, "--out", out) == 2
+        assert "(field: cutoff)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_trials_header_exits_config(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -348,6 +373,8 @@ class TestFit:
             (("fit", "--free", "z,eta_d_s", "--fixed", '{"eta_d_s": 0.5}'), "fixed"),
             (("fit", "--starts", 0), "starts"),
             (("bootstrap", "--starts", 0, "--resamples", 100, "--seed", 7), "starts"),
+            (("bootstrap", "--level", 1.5, "--resamples", 100, "--seed", 7), "level"),
+            (("bootstrap", "--resamples", 50, "--seed", 7), "resamples"),
         ],
     )
     def test_bad_fixed_or_starts_exits_config(self, tmp_path, capsys, argv, field):
@@ -526,7 +553,7 @@ class TestBootstrap:
 
 
 class TestLossScan:
-    def test_outputs_and_orderings(self, tmp_path):
+    def test_outputs_and_orderings(self, tmp_path, capsys):
         assert run("loss-scan", "--z", 0.15, "--cutoff", 4, "--phases", 1024,
                    "--loss-grid", "0,0.1,0.2", "--nbar-grid", "0.05,0.5",
                    "--out-dir", tmp_path) == 0
@@ -538,6 +565,16 @@ class TestLossScan:
         ratio = _read_csv_with_comments(tmp_path / "ratio_vs_nbar.csv")
         assert np.all(ratio["ratio"] >= 1 - 1e-9)
         assert (tmp_path / "subsnl_vs_nbar.csv").exists()
+        # every CSV and the printed line carry the largest mass the cutoff
+        # drops from a scanned config; detection loss drops nothing
+        cutoff = FockCutoff(4)
+        scanned = [SqueezingParams(0.15)] + [
+            SqueezingParams.from_mean_photons(nb) for nb in (0.05, 0.5)
+        ]
+        want = max(truncation_mass(sq, LossModel(), cutoff) for sq in scanned)
+        for name in ("fi_vs_loss.csv", "ratio_vs_nbar.csv", "subsnl_vs_nbar.csv"):
+            assert f"# truncation_mass={want!r}\n" in (tmp_path / name).read_text(), name
+        assert capsys.readouterr().out.rstrip().endswith(f"truncation_mass={want!r}")
 
     def test_loss_model_override(self, tmp_path):
         assert run("loss-scan", "--z", 0.15, "--cutoff", 4, "--phases", 256,

@@ -130,8 +130,13 @@ class TestFitModel:
         full_truth = {"eta_d_s": 1.0, "eta_d_i": 1.0, **truth}
         # count-scale conditional log-likelihood over the included cells
         pm = _model_probs(full_truth, hist.phases, ths, thi, cfg.cutoff)[:, mask]
+        # cells whose outcomes need more photons than the cutoff keeps have
+        # P = 0, and the model cannot have put counts there
+        live = pm > 0
+        assert not cmask[~live].any()
         ll_truth = float(
-            np.sum(cmask * np.log(pm)) - np.sum(cmask.sum(axis=1) * np.log(pm.sum(axis=1)))
+            np.sum(cmask[live] * np.log(pm[live]))
+            - np.sum(cmask.sum(axis=1) * np.log(pm.sum(axis=1)))
         )
         assert fit.log_likelihood >= ll_truth - 1e-6
 
@@ -374,13 +379,19 @@ class TestFisherScoring:
                 return _model_probs(p, hist.phases, ths, thi, cutoff)[:, mask]
 
             P = probs(params)
-            assert (P > 0).all()
-            N = P.sum(axis=1)
             dP = np.stack([
                 (probs({**params, name: params[name] + h})
                  - probs({**params, name: params[name] - h})) / (2 * h)
                 for name in free
             ])
+            # ideal PNR: cell (j, k) needs j + k photons, and the model keeps
+            # only the sectors n_s + n_i <= M; the others are exactly 0
+            n_j, n_k = ths.shape[1], thi.shape[1]
+            reach = (np.add.outer(np.arange(n_j), np.arange(n_k)) <= cutoff.max_photons)[mask]
+            assert (P[:, reach] > 0).all()
+            assert (P[:, ~reach] == 0).all() and (dP[:, :, ~reach] == 0).all()
+            P, dP = P[:, reach], dP[:, :, reach]
+            N = P.sum(axis=1)
             dN = dP.sum(axis=2)
             n_inc = hist.counts[:, mask].sum(axis=1)
             w = n_inc / n_inc.sum()

@@ -190,12 +190,14 @@ class TestSweep:
         assert max_cfi >= 0.99 * np.max(rep.qfi)
 
     def test_near_singular_outcomes_warn_once_per_sweep(self):
-        # 1e-8 and 2e-8 rad from the lossless dark fringe at theta = 0, eight
+        # 1e-8 and 2e-8 rad from the lossless dark fringe at theta = 0, six
         # outcomes each have p ~ 1e-18 but |dp| ~ 1e-9: their CFI terms are
-        # dropped, and the sweep says so in one warning for the whole grid
+        # dropped, and the sweep says so in one warning for the whole grid.
+        # (3, 5) and (5, 3) would be two more, but they need 8 photons and
+        # cutoff 6 keeps only the sectors n_s + n_i <= 6
         grid = np.array([1e-8, 0.5, 2e-8])
         pnr = _pnr(6)
-        with pytest.warns(RuntimeWarning, match=r"^16 outcome\(s\) with p <=") as rec:
+        with pytest.warns(RuntimeWarning, match=r"^12 outcome\(s\) with p <=") as rec:
             sweep_fisher(_config(0.3, max_photons=6), grid, pnr, pnr, compute_qfi=False)
         assert len(rec) == 1
 
@@ -401,7 +403,7 @@ class TestParityBlockSeries:
     series instead of the dense per-phase sigma4, which stays the oracle."""
 
     def test_matches_dense_sigma4_blocks_on_random_configs(self):
-        # z up to 0.85 puts mass in the truncated (polar-factor) blocks, and
+        # z up to 0.85 puts mass in the dropped sectors n_s + n_i > M, and
         # transmissivities include 0 and 1, with and without preparation loss
         rng = np.random.default_rng(707)
         for max_photons in range(3, 11):
@@ -434,6 +436,19 @@ class TestParityBlockSeries:
                 for povm in (pnr, click_povm_from(pnr)):
                     rep = sweep_fisher(cfg, grid, povm, povm)
                     assert np.all(rep.cfi <= rep.qfi * (1 + 1e-10))
+
+    def test_equal_detection_loss_qfi_is_constant_in_phase(self):
+        # equal detection loss commutes with the second beam splitter and the
+        # phase, so sigma4(theta) is a unitary orbit and its QFI is one number;
+        # on the kept sectors n_s + n_i <= M the truncated stages commute too
+        rng = np.random.default_rng(2102)
+        grid = rng.uniform(0.0, 2 * math.pi, 9)
+        for max_photons in range(3, 13):
+            eta_d = rng.uniform(0.5, 0.99)
+            loss = LossModel(*rng.uniform(0.5, 1.0, 2), eta_d, eta_d)
+            cfg = _config(rng.uniform(0.2, 0.7), loss, max_photons=max_photons)
+            qfi = sweep_fisher(cfg, grid, _pnr(max_photons), _pnr(max_photons)).qfi
+            assert np.ptp(qfi) <= 1e-13 * np.max(qfi), (max_photons, np.ptp(qfi) / np.max(qfi))
 
 
 class TestMirrorSymmetry:
@@ -486,8 +501,8 @@ class TestMirrorSymmetry:
         mirrors = np.stack([base, -base, 2 * math.pi - base, base + 2 * math.pi])
         grid = np.concatenate([mirrors.ravel(), [math.pi, 0.0]])
         perm = rng.permutation(grid.size)
-        # at odd cutoffs and z = 0.85 the truncated (polar-factor) blocks of
-        # the beam splitter carry mass
+        # at z = 0.85 the dropped sectors n_s + n_i > M carry much of the
+        # mass, at odd and even cutoffs
         for z, max_photons in ((0.35, 7), (0.85, 5), (0.85, 9)):
             cfg = _config(z, LossModel(*self.LOSSES[loss]), max_photons=max_photons)
             pnr = _pnr(max_photons)
@@ -599,14 +614,16 @@ class TestMirrorClassCfi:
 
     def test_near_singular_count_covers_every_phase(self):
         # lossless, within 2e-8 rad of the dark fringe at theta = 0: six phases
-        # in two mirror classes, each with eight near-singular outcomes
+        # in two mirror classes, each with six near-singular outcomes; (3, 5)
+        # and (5, 3) need 8 photons, more than the sectors n_s + n_i <= 6 of
+        # cutoff 6 hold
         grid = np.array([1e-8, 2 * math.pi - 1e-8, -2e-8, 2e-8, 0.5, -1e-8, 2 * math.pi - 2e-8])
         assert metrology._mirror_classes(grid)[0].size == 3
         cfg = _config(0.3, max_photons=6)
         pnr = _pnr(6)
         series = outcome_series(cfg, pnr, pnr)
         every = int(metrology._cfi_on_grid(series, grid)[1].sum())
-        assert every == 48
+        assert every == 36
         with pytest.warns(RuntimeWarning, match=rf"^{every} outcome\(s\) with p <=") as rec:
             sweep_fisher(cfg, grid, pnr, pnr, compute_qfi=False)
         assert len(rec) == 1

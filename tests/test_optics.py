@@ -98,10 +98,21 @@ class TestTmsvState:
         assert np.max(np.abs(v - tmsv_vector(0.3, cutoff6.dim))) < 1e-15
 
 
+def _kept_sectors(cutoff):
+    """Mask of the joint indices with n_s + n_i <= M, the sectors the model keeps."""
+    n = np.arange(cutoff.dim)
+    return (np.add.outer(n, n) <= cutoff.max_photons).ravel()
+
+
 class TestBeamSplitter:
     def test_identity_at_full_transmission(self, cutoff6):
+        # U is the projector onto the kept sectors N <= M, and exactly 0 on
+        # the rows and columns of the sectors N > M
+        kept = _kept_sectors(cutoff6)
         U = optics._bs_matrix(1.0, cutoff6.max_photons)
-        assert np.max(np.abs(U - np.eye(cutoff6.joint_dim))) < 1e-12
+        assert np.max(np.abs(U - np.diag(kept.astype(float)))) < 1e-13
+        assert np.max(np.abs(U[~kept])) == 0.0
+        assert np.max(np.abs(U[:, ~kept])) == 0.0
 
     def test_hong_ou_mandel(self, cutoff6):
         d = cutoff6.dim
@@ -121,10 +132,15 @@ class TestBeamSplitter:
         assert abs(out[0 * d + 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_unitarity(self, cutoff10):
+        # unitary on the kept sectors: U^dag U is the projector onto N <= M,
+        # and the rows and columns of the sectors N > M are exactly 0
+        kept = _kept_sectors(cutoff10)
         for eta in (0.1, 0.5, 0.926):
             U = optics._bs_matrix(eta, cutoff10.max_photons)
-            err = np.max(np.abs(U.conj().T @ U - np.eye(cutoff10.joint_dim)))
-            assert err < 1e-10
+            err = np.max(np.abs(U.conj().T @ U - np.diag(kept.astype(float))))
+            assert err < 1e-13
+            assert np.max(np.abs(U[~kept])) == 0.0
+            assert np.max(np.abs(U[:, ~kept])) == 0.0
 
     def test_block_structure_total_photon_number(self, cutoff6):
         d = cutoff6.dim
@@ -134,10 +150,8 @@ class TestBeamSplitter:
         assert np.max(np.abs(off_block)) == 0.0
 
     def test_real_after_rephasing_by_i_to_the_n_s(self):
-        # U[j, k] = i^(n_s,j + n_s,k) times a real number, on the complete
-        # blocks and the truncated ones alike; the polar factor of a singular
-        # truncated block (odd cutoffs) would otherwise be an arbitrary
-        # complex choice that breaks the theta -> -theta symmetry
+        # U[j, k] = i^(n_s,j + n_s,k) times a real number at odd and even
+        # cutoffs; a complex entry would break the theta -> -theta symmetry
         for max_photons in range(2, 11):
             cutoff = FockCutoff(max_photons)
             ph = np.array([1, 1j, -1, -1j])[signal_photon_numbers(cutoff) % 4]
@@ -169,6 +183,38 @@ class TestBeamSplitter:
                 R = optics._bs_block(eta, N)
                 assert R.dtype == np.float64
                 assert np.max(np.abs(R.T @ R - np.eye(N + 1))) < 1e-13
+
+
+class TestTruncationRule:
+    """The model keeps only the sectors n_s + n_i <= M, and each stage maps
+    them into themselves, so every outcome distribution is a sub-measure of
+    the untruncated one that falls short of it by the reported mass."""
+
+    def test_outcomes_are_a_sub_measure_short_by_the_mass(self):
+        # reference: the same config at cutoff M + 20, whose own mass is what
+        # keeps the L1 distance below the mass rather than equal to it
+        rng = np.random.default_rng(2101)
+        thetas = rng.uniform(0.0, 2 * np.pi, 17)
+        for _ in range(12):
+            max_photons = int(rng.integers(3, 17))
+            squeezing = SqueezingParams(rng.uniform(0.05, 0.8))
+            loss = LossModel(*rng.uniform(0.5, 1.0, 4))
+            cutoff, ref_cutoff = FockCutoff(max_photons), FockCutoff(max_photons + 20)
+            d = cutoff.dim
+
+            def populations(c):
+                eye = np.eye(c.dim)
+                series = optics.outcome_phase_series(squeezing, loss, c, eye, eye)
+                return series.values(thetas)
+
+            ref = populations(ref_cutoff)
+            p = np.zeros_like(ref)
+            p[:, :d, :d] = populations(cutoff)
+            mass = optics.truncation_mass(squeezing, loss, cutoff)
+            l1 = np.abs(ref - p).sum(axis=(1, 2))
+            assert np.all(l1 <= mass + 1e-14), (max_photons, l1.max(), mass)
+            assert np.all(p <= ref + 1e-14)
+            assert np.max(np.abs(p.sum(axis=(1, 2)) + mass - 1.0)) < 1e-14
 
 
 class TestBinomialPopulationMatrix:
@@ -380,7 +426,7 @@ class TestEngineInternals:
 
     def test_pair_sector_series_matches_dense_sigma4(self):
         # oracle: diag of the dense per-phase sigma4 and dsigma4; z up to 0.85
-        # puts mass in the truncated (polar-factor) blocks, and transmissivities
+        # puts mass in the dropped sectors n_s + n_i > M, and transmissivities
         # include 0 and 1
         rng = np.random.default_rng(606)
         for max_photons in range(3, 11):
