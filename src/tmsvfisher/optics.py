@@ -131,6 +131,13 @@ def _bs_rephased(eta: float, max_photons: int) -> np.ndarray:
     return R
 
 
+def _kept_sectors(cutoff: FockCutoff) -> np.ndarray:
+    """(d, d) mask of the pairs (n_s, n_i) with n_s + n_i <= M: the complete
+    photon-number sectors, the only ones the model keeps (_bs_rephased)."""
+    n = np.arange(cutoff.dim)
+    return np.add.outer(n, n) <= cutoff.max_photons
+
+
 def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
     """Joint-space beam splitter U = P R P, with R = _bs_rephased and P = diag(i^n_s)."""
     d = max_photons + 1
@@ -286,9 +293,8 @@ def truncation_mass(squeezing: SqueezingParams, loss: LossModel, cutoff: FockCut
     a sub-measure of the untruncated one whose total falls short by exactly
     this mass (docs/decisions.md, entry 8). A sum of positive terms, so it
     avoids the cancellation in 1 - sum(q)."""
-    n = np.arange(cutoff.dim)
     q = pair_distribution(squeezing.z, loss.eta_p_s, loss.eta_p_i, cutoff.dim)
-    dropped = q[np.add.outer(n, n) > cutoff.max_photons].sum()
+    dropped = q[~_kept_sectors(cutoff)].sum()
     return float(squeezing.z ** (2 * cutoff.dim) + dropped)
 
 
@@ -416,9 +422,8 @@ class InterferometerEngine:
         # every stage conserves the parity of n_s + n_i, so sigma4 and its
         # derivative are block-diagonal over these two index sets.
         n_s, n_i = np.divmod(np.arange(cutoff.joint_dim), cutoff.dim)
-        total = n_s + n_i
-        kept = total <= cutoff.max_photons
-        self.parity_blocks = tuple(np.flatnonzero(kept & (total % 2 == r)) for r in (0, 1))
+        kept = _kept_sectors(cutoff).ravel()
+        self.parity_blocks = tuple(np.flatnonzero(kept & ((n_s + n_i) % 2 == r)) for r in (0, 1))
 
     @cached_property
     def sigma2(self) -> np.ndarray:

@@ -14,7 +14,13 @@ from tmsvfisher import (
 )
 from tmsvfisher.fock import signal_photon_numbers
 from tmsvfisher import optics
-from tmsvfisher.optics import InterferometerEngine, _apply_loss, loss_superoperator, tmsv_state
+from tmsvfisher.optics import (
+    InterferometerEngine,
+    _apply_loss,
+    _kept_sectors,
+    loss_superoperator,
+    tmsv_state,
+)
 
 from conftest import (
     binomial_loss_matrix,
@@ -98,17 +104,11 @@ class TestTmsvState:
         assert np.max(np.abs(v - tmsv_vector(0.3, cutoff6.dim))) < 1e-15
 
 
-def _kept_sectors(cutoff):
-    """Mask of the joint indices with n_s + n_i <= M, the sectors the model keeps."""
-    n = np.arange(cutoff.dim)
-    return (np.add.outer(n, n) <= cutoff.max_photons).ravel()
-
-
 class TestBeamSplitter:
     def test_identity_at_full_transmission(self, cutoff6):
         # U is the projector onto the kept sectors N <= M, and exactly 0 on
         # the rows and columns of the sectors N > M
-        kept = _kept_sectors(cutoff6)
+        kept = _kept_sectors(cutoff6).ravel()
         U = optics._bs_matrix(1.0, cutoff6.max_photons)
         assert np.max(np.abs(U - np.diag(kept.astype(float)))) < 1e-13
         assert np.max(np.abs(U[~kept])) == 0.0
@@ -134,7 +134,7 @@ class TestBeamSplitter:
     def test_unitarity(self, cutoff10):
         # unitary on the kept sectors: U^dag U is the projector onto N <= M,
         # and the rows and columns of the sectors N > M are exactly 0
-        kept = _kept_sectors(cutoff10)
+        kept = _kept_sectors(cutoff10).ravel()
         for eta in (0.1, 0.5, 0.926):
             U = optics._bs_matrix(eta, cutoff10.max_photons)
             err = np.max(np.abs(U.conj().T @ U - np.diag(kept.astype(float))))
