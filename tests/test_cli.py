@@ -478,11 +478,9 @@ def test_bad_output_dir_or_grid_exits_before_any_work(tmp_path, capsys, monkeypa
     assert not (tmp_path / "missing").exists()
 
 
-def _loaded_after_cli_import(module):
-    """'True' or 'False': whether a fresh interpreter has module loaded after
-    importing tmsvfisher.cli."""
-    code = f"import sys, tmsvfisher.cli; print({module!r} in sys.modules)"
-    # import the same copy of the package as this test run
+def _fresh_interpreter_stdout(code):
+    """Stdout of `python -c code` in a fresh interpreter that imports the same
+    copy of the package as this test run."""
     src = str(Path(tmsvfisher.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -492,6 +490,13 @@ def _loaded_after_cli_import(module):
     return proc.stdout.strip()
 
 
+def _loaded_after_cli_import(module):
+    """'True' or 'False': whether a fresh interpreter has module loaded after
+    importing tmsvfisher.cli."""
+    return _fresh_interpreter_stdout(
+        f"import sys, tmsvfisher.cli; print({module!r} in sys.modules)")
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about half a second of every CLI start
     assert _loaded_after_cli_import("scipy.stats") == "False"
@@ -499,7 +504,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special alone more than doubles the time a CLI start spends
-    # importing; only tomography needs it
+    # importing, and no command needs scipy
     assert _loaded_after_cli_import("scipy") == "False"
 
 
@@ -518,11 +523,19 @@ def test_cli_fit_leaves_scipy_unloaded(tmp_path):
             f"assert main(['fit', {str(counts)!r}, '--cutoff', '3', '--starts', '2', "
             f"'--seed', '1', '--out', {str(tmp_path / 'fit.json')!r}]) == 0; "
             "print('scipy' in sys.modules)")
-    src = str(Path(tmsvfisher.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert _fresh_interpreter_stdout(code).splitlines()[-1] == "False"
+
+
+def test_cli_tomography_leaves_scipy_unloaded(tmp_path):
+    # the Poisson probe weights and the EM run without scipy
+    probe_path = tmp_path / "probes.csv"
+    _probe_csv(probe_path, efficiency_povm(0.9, 3, 3), rng=np.random.default_rng(3),
+               shots=10**5)
+    code = ("import sys; from tmsvfisher.cli import main; "
+            f"assert main(['tomography', {str(probe_path)!r}, '--kmax', '3', "
+            f"'--out', {str(tmp_path / 'povm.json')!r}]) == 0; "
+            "print('scipy' in sys.modules)")
+    assert _fresh_interpreter_stdout(code).splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
