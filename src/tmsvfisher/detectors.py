@@ -115,8 +115,8 @@ class ProbeSet:
     shots_per_probe: int
 
     def __post_init__(self):
-        if any(a < 0 for a in self.alpha_sq):
-            raise ConfigError("probe |alpha|^2 values must be >= 0")
+        if not all(0 <= a < math.inf for a in self.alpha_sq):
+            raise ConfigError("probe |alpha|^2 values must be finite and >= 0")
         if self.shots_per_probe <= 0:
             raise ConfigError("shots_per_probe must be positive")
 
@@ -151,8 +151,8 @@ def coherent_probe_matrix(alpha_sq, k_max: int) -> np.ndarray:
     alpha_sq = np.asarray(alpha_sq, dtype=float)
     if alpha_sq.ndim != 1:
         alpha_sq = alpha_sq.ravel()
-    if (alpha_sq < 0).any():
-        raise ConfigError("probe |alpha|^2 values must be >= 0")
+    if not np.isfinite(alpha_sq).all() or (alpha_sq < 0).any():
+        raise ConfigError("probe |alpha|^2 values must be finite and >= 0")
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
     # the C library log per probe, as xlogy takes it: numpy's vectorised log
@@ -402,7 +402,23 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-_KINDS = {float: "a number", nonnegative_int: "a nonnegative integer"}
+def nonnegative_float(text: str) -> float:
+    """A probe intensity: float(text), refusing a negative or non-finite value."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(text)
+    return value
+
+
+# the plain conversion of each range-checked parser; parse_csv_rows checks
+# the range of the whole column at once
+_CONVERTERS = {nonnegative_int: int, nonnegative_float: float}
+
+_KINDS = {
+    float: "a number",
+    nonnegative_int: "a nonnegative integer",
+    nonnegative_float: "a finite number >= 0",
+}
 
 
 def _malformed_row(what: str, values, fields) -> ConfigError | None:
@@ -441,23 +457,26 @@ def parse_csv_rows(what: str, rows, fields) -> list[np.ndarray]:
             raise ValueError("field count")
         columns = []
         for (_, parse), texts in zip(fields, zip(*rows)):
-            column = np.array(list(map(int if parse is nonnegative_int else parse, texts)))
-            if parse is nonnegative_int and column.min() < 0:
-                raise ValueError("negative")
+            convert = _CONVERTERS.get(parse, parse)
+            column = np.array(list(map(convert, texts)))
+            # a nan minimum fails the comparison too
+            if convert is not parse and not 0 <= column.min() <= column.max() < math.inf:
+                raise ValueError("out of range")
             columns.append(column)
     except ValueError:
         raise next(filter(None, (_malformed_row(what, row, fields) for row in rows))) from None
     return columns
 
 
-_PROBE_PARSERS = {"alpha_sq": float, "outcome": nonnegative_int, "count": float}
+_PROBE_PARSERS = {"alpha_sq": nonnegative_float, "outcome": nonnegative_int, "count": float}
 
 
 def read_probe_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (alpha_sq values, counts matrix) from long-format probe data.
 
-    A row with the wrong number of fields, a non-numeric value, or an outcome
-    that is not a nonnegative integer raises a ConfigError naming the field.
+    A row with the wrong number of fields, a non-numeric value, an intensity
+    that is negative or not finite, or an outcome that is not a nonnegative
+    integer raises a ConfigError naming the field.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

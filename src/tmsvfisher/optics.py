@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .fock import FockCutoff
+from .fock import FockCutoff, signal_photon_numbers
 
 _BALANCED = 0.5
 
@@ -184,36 +184,90 @@ def binomial_derivative(B: np.ndarray) -> np.ndarray:
     return np.arange(B.shape[1]) * (lower - prev)
 
 
-def loss_superoperator(eta: float, d: int) -> np.ndarray:
-    """One-mode pure-loss channel as a (d^2, d^2) superoperator on (n, n') pairs.
+class DensityElements:
+    """A fixed list of density-matrix elements (j, k) of the joint space, and
+    pure loss on values held over it (docs/decisions.md, entry 10).
 
-    L[(x, y), (a, c)] = sum_l K_l[x, a] K_l[y, c] for the Kraus set
-    K_l[n - l, n] = sqrt(C(n, l) eta^(n - l) (1 - eta)^l), where K_l removes l
-    photons; it is nonzero only where a - x = c - y = l, and there equals
-    sqrt(B[x, a] B[y, c]) with B the binomial survival matrix.
+    Loss of transmissivity eta on one mode has the Kraus set
+    K_l[n - l, n] = sqrt(B[n - l, n]), B the binomial survival matrix: it
+    lowers that mode's photon number by the same l on both sides of an
+    element and keeps n - n'. So element e, with x and y photons in the mode
+    on its two sides, reads only the element src_l(e) with l more photons in
+    that mode on both sides: out[e] = sum_l k_l[x] k_l[y] X[src_l(e)], with
+    k_l[x] = sqrt(B[x, x + l]). A source not in the list is read as 0, so the
+    list must hold every element whose value can be nonzero.
     """
-    B = binomial_population_matrix(eta, d)
-    n = np.arange(d)
-    lost = n[None, :] - n[:, None]  # a - x
-    same = lost[:, None, :, None] == lost[None, :, None, :]
-    L = np.where(same, np.sqrt(B[:, None, :, None] * B[None, :, None, :]), 0.0)
-    return L.reshape(d * d, d * d)
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, d: int):
+        self.rows, self.cols, self.d = rows, cols, d
+        self.photons = np.stack(np.divmod(rows, d) + np.divmod(cols, d))  # s, i, s', i'
+        self._shifts = tuple(self._mode_shifts(mode) for mode in (0, 1))
+        for a in (rows, cols, self.photons):
+            a.flags.writeable = False
+
+    def _mode_shifts(self, mode: int):
+        """Per l = 1..d-1, the (dst, src) positions of the elements whose
+        source with l more photons in the mode (0 signal, 1 idler) is listed."""
+        d, D = self.d, self.d * self.d
+        x, y = self.photons[mode], self.photons[mode + 2]
+        step = d if mode == 0 else 1  # joint-index step of one photon in the mode
+        keys = self.rows * D + self.cols
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        shifts = []
+        for l in range(1, d):
+            dst = np.flatnonzero((x + l < d) & (y + l < d))
+            want = keys[dst] + l * step * (D + 1)
+            pos = np.minimum(np.searchsorted(sorted_keys, want), keys.size - 1)
+            found = sorted_keys[pos] == want
+            shifts.append((dst[found], order[pos[found]]))
+        return shifts
+
+    def lose(self, values: np.ndarray, eta: float, mode: int) -> np.ndarray:
+        """Pure loss on the signal (mode 0) or idler (mode 1) of the values
+        held over the list on the first axis; any further axes are carried
+        along (rows of one element stay contiguous for the gathers)."""
+        if eta == 1.0:
+            return values
+        x, y = self.photons[mode], self.photons[mode + 2]
+        k = np.sqrt(binomial_population_matrix(eta, self.d))
+        trailing = (1,) * (values.ndim - 1)
+        out = values * (k[x, x] * k[y, y]).reshape(-1, *trailing)
+        for l, (dst, src) in enumerate(self._shifts[mode], 1):
+            xd, yd = x[dst], y[dst]
+            shifted = values[src]
+            shifted *= (k[xd, xd + l] * k[yd, yd + l]).reshape(-1, *trailing)
+            out[dst] += shifted
+        return out
 
 
-def _superoperator_or_none(eta: float, d: int):
-    """loss_superoperator, or None where eta = 1 and the channel is the identity."""
-    return None if eta == 1.0 else loss_superoperator(eta, d)
+@lru_cache(maxsize=8)
+def _pair_coherences(max_photons: int) -> DensityElements:
+    """The elements (j, k) with s_j - s_k = i_j - i_k: the support of the
+    TMSV's density operator, which loss on either mode maps into itself."""
+    d = max_photons + 1
+    j, k = np.divmod(np.arange(d**4), d * d)
+    keep = j // d - k // d == j % d - k % d
+    return DensityElements(j[keep], k[keep], d)
 
 
-def _apply_loss(rho: np.ndarray, d: int, L_s=None, L_i=None) -> np.ndarray:
-    """Loss superoperators on the signal and/or idler mode of a joint density
-    operator: L_s R L_i^T, with R = rho regrouped over (s, s') x (i, i')."""
-    R = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    if L_s is not None:
-        R = L_s @ R
-    if L_i is not None:
-        R = R @ L_i.T
-    return R.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+@lru_cache(maxsize=8)
+def _parity_block_elements(max_photons: int):
+    """(blocks, elements): the joint indices of the kept sectors n_s + n_i <= M
+    with even and with odd n_s + n_i, and every element (j, k) with j and k in
+    one block, block by block in row-major order. Loss keeps n - n' on each
+    mode and lowers N on both sides together, so every source of such an
+    element is one too (an odd l reads the other block), or lies in a sector
+    N > M, which the beam splitter leaves at 0."""
+    d = max_photons + 1
+    N = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    kept = _kept_sectors(FockCutoff(max_photons)).ravel()
+    blocks = tuple(np.flatnonzero(kept & (N % 2 == r)) for r in (0, 1))
+    rows = np.concatenate([np.repeat(b, b.size) for b in blocks])
+    cols = np.concatenate([np.tile(b, b.size) for b in blocks])
+    for b in blocks:
+        b.flags.writeable = False
+    return blocks, DensityElements(rows, cols, d)
 
 
 # ---------------------------------------------------------------------------
@@ -405,59 +459,33 @@ class InterferometerEngine:
     sigma3(theta) differs from the fixed conjugation A = U_bs sigma2 U_bs^dag
     only by an elementwise phase factor exp(i theta (g_j - g_k)); split by
     frequency, this gives the QFI its series of sigma4's parity blocks
-    (parity_block_series). Loss on each arm is one superoperator product
-    (loss_superoperator). sigma2 and A are built on first use. The
-    populations are the outcome series under identity POVM slices.
+    (parity_block_series). Every stage works on the elements of those blocks:
+    loss shifts photon numbers within them (DensityElements). sigma2 is built
+    on first use. The populations are the outcome series under identity POVM
+    slices.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
         self.squeezing = squeezing
         self.loss = loss
         self.cutoff = cutoff
-        self.prep_lossless = loss.eta_p_s == 1.0 and loss.eta_p_i == 1.0
-        self.det_lossless = loss.eta_d_s == 1.0 and loss.eta_d_i == 1.0
-        self.Ub = _bs_matrix(_BALANCED, cutoff.max_photons)
-        self._g = phase_generator(cutoff)
-        # sigma4 is 0 outside the sectors n_s + n_i <= M that Ub keeps, and
-        # every stage conserves the parity of n_s + n_i, so sigma4 and its
-        # derivative are block-diagonal over these two index sets.
-        n_s, n_i = np.divmod(np.arange(cutoff.joint_dim), cutoff.dim)
-        kept = _kept_sectors(cutoff).ravel()
-        self.parity_blocks = tuple(np.flatnonzero(kept & ((n_s + n_i) % 2 == r)) for r in (0, 1))
+        # sigma4 is 0 outside the sectors n_s + n_i <= M that the beam
+        # splitter keeps, and every stage conserves the parity of n_s + n_i,
+        # so sigma4 and its derivative are block-diagonal over these two
+        # index sets.
+        self.parity_blocks, self._elements = _parity_block_elements(cutoff.max_photons)
 
     @cached_property
     def sigma2(self) -> np.ndarray:
-        """Density operator after preparation loss."""
-        v = tmsv_state(self.squeezing.z, self.cutoff).ravel()
-        rho = np.outer(v, v.conj())
-        if self.prep_lossless:
-            return rho
-        d = self.cutoff.dim
-        return _apply_loss(
-            rho,
-            d,
-            L_s=_superoperator_or_none(self.loss.eta_p_s, d),
-            L_i=_superoperator_or_none(self.loss.eta_p_i, d),
-        )
-
-    @cached_property
-    def _A(self) -> np.ndarray:
-        return self.Ub @ self.sigma2 @ self.Ub.conj().T
-
-    @cached_property
-    def detection_superoperators(self) -> tuple:
-        """(L_s, L_i) detection-loss superoperators; None for a lossless arm."""
-        d = self.cutoff.dim
-        return (
-            _superoperator_or_none(self.loss.eta_d_s, d),
-            _superoperator_or_none(self.loss.eta_d_i, d),
-        )
-
-    def _detection_loss(self, rho: np.ndarray) -> np.ndarray:
-        if self.det_lossless:
-            return rho
-        L_s, L_i = self.detection_superoperators
-        return _apply_loss(rho, self.cutoff.dim, L_s, L_i)
+        """Density operator after preparation loss, as a real (d^2, d^2) array."""
+        els = _pair_coherences(self.cutoff.max_photons)
+        s, i, s2, i2 = els.photons
+        c = tmsv_state(self.squeezing.z, self.cutoff).diagonal().real
+        rho = np.where((s == i) & (s2 == i2), c[s] * c[s2], 0.0)
+        rho = els.lose(els.lose(rho, self.loss.eta_p_s, 0), self.loss.eta_p_i, 1)
+        out = np.zeros((self.cutoff.joint_dim, self.cutoff.joint_dim))
+        out[els.rows, els.cols] = rho
+        return out
 
     @cached_property
     def parity_block_series(self) -> tuple[HermitianSeries, ...]:
@@ -467,19 +495,40 @@ class InterferometerEngine:
         integers -M..M, and detection loss is linear, so the block is
         sum_w exp(i w theta) S_w with S_w = Lambda_d(U_bs (A o [g_j - g_k = w])
         U_bs^dag) restricted to it; S_{-w} = S_w^dag because A is Hermitian.
-        Costs M + 1 dense evaluations, once per engine.
+
+        The terms are built in real arithmetic. With U_bs = P R P,
+        P = diag(i^n_s), and sigma2 supported on s_j - s_k = i_j - i_k,
+        S_w = V Lambda_d(R (C o [g_j - g_k = w]) R^T) V^dag with
+        C = D R sigma2 R^T D, D = P^2 = diag((-1)^n_s), and the phases
+        V_j conj(V_k) = i^(s_j - s_k + (N_j - N_k)/2), which loss leaves
+        unchanged (docs/decisions.md, entry 10). Each block costs 2(M + 1)
+        matrix products of its own size, once per engine.
         """
-        omega = self._g[:, None] - self._g[None, :]
         M = self.cutoff.max_photons
-        Ubh = self.Ub.conj().T
-        coeffs = [np.empty((M + 1, b.size, b.size), dtype=complex) for b in self.parity_blocks]
-        for w in range(M + 1):
-            S = self._detection_loss(self.Ub @ np.where(omega == w, self._A, 0.0) @ Ubh)
-            for c, b in zip(coeffs, self.parity_blocks):
-                c[w] = S[np.ix_(b, b)]
-        for c in coeffs:
-            c[0] *= 0.5
-        return tuple(HermitianSeries(c) for c in coeffs)
+        R = _bs_rephased(_BALANCED, M)
+        g = phase_generator(self.cutoff)
+        sign = 1.0 - 2.0 * (signal_photon_numbers(self.cutoff) % 2)
+        w = np.arange(M + 1)[:, None, None]
+        els = self._elements
+        # element-major, (elements, M + 1), block by block as els lists them
+        X = np.empty((els.rows.size, M + 1))
+        ends = np.cumsum([b.size**2 for b in self.parity_blocks])
+        spans = [slice(end - b.size**2, end) for b, end in zip(self.parity_blocks, ends)]
+        for b, rows in zip(self.parity_blocks, spans):
+            Rb = R[np.ix_(b, b)]
+            C = sign[b, None] * (Rb @ self.sigma2[np.ix_(b, b)] @ Rb.T) * sign[None, b]
+            omega = g[b, None] - g[None, b]
+            X[rows] = (Rb @ np.where(omega == w, C, 0.0) @ Rb.T).reshape(M + 1, -1).T
+        X = els.lose(els.lose(X, self.loss.eta_d_s, 0), self.loss.eta_d_i, 1)
+        s_j, i_j, s_k, i_k = els.photons
+        turns = (s_j - s_k) + (s_j + i_j - s_k - i_k) // 2
+        phases = np.array([1, 1j, -1, -1j])[turns % 4]
+        series = []
+        for b, rows in zip(self.parity_blocks, spans):
+            coeffs = np.multiply(X[rows].T, phases[rows], order="C")
+            coeffs[0] *= 0.5
+            series.append(HermitianSeries(coeffs.reshape(M + 1, b.size, b.size)))
+        return tuple(series)
 
     def populations(self, theta: float) -> np.ndarray:
         """diag(sigma4) as a (d, d) array over (n_s, n_i)."""

@@ -4,12 +4,12 @@ The brute-force oracles deliberately avoid the library's own construction
 paths: beam splitters come from scipy's matrix exponential of the two-mode
 generator, loss from explicit binomial matrices, derivatives from central
 finite differences. The dense references (dense_psi3, dense_sigma3,
-dense_sigma4, loss_via_ancilla) are the per-phase d^2 x d^2 paths that the
-library's phase series, closed-form lossless QFI and superoperator loss
-replaced; they share the engine's fixed parts and serve as the tests'
-oracles. The row-by-row writers (loop_report_csv, loop_report_json,
-loop_write_csv) are the report writers that the column-wise ones replaced,
-kept as byte-for-byte oracles.
+dense_sigma4, loss_superoperator, dense_loss, loss_via_ancilla) are the
+per-phase d^2 x d^2 paths that the library's phase series, closed-form
+lossless QFI and photon-shift loss replaced; they share the engine's sigma2
+and serve as the tests' oracles. The row-by-row writers (loop_report_csv,
+loop_report_json, loop_write_csv) are the report writers that the
+column-wise ones replaced, kept as byte-for-byte oracles.
 """
 
 import json
@@ -20,7 +20,12 @@ from scipy.linalg import expm
 from scipy.special import comb
 
 from tmsvfisher import FockCutoff
-from tmsvfisher.optics import _bs_matrix
+from tmsvfisher.optics import (
+    _BALANCED,
+    DensityElements,
+    _bs_matrix,
+    binomial_population_matrix,
+)
 
 
 @pytest.fixture
@@ -86,16 +91,42 @@ def difference_generator(d: int) -> np.ndarray:
     return 0.5 * (n[:, None] - n[None, :]).ravel()
 
 
+def loss_superoperator(eta: float, d: int) -> np.ndarray:
+    """One-mode pure-loss channel as a (d^2, d^2) superoperator on (n, n') pairs.
+
+    L[(x, y), (a, c)] = sum_l K_l[x, a] K_l[y, c] for the Kraus set
+    K_l[n - l, n] = sqrt(C(n, l) eta^(n - l) (1 - eta)^l), where K_l removes l
+    photons; it is nonzero only where a - x = c - y = l, and there equals
+    sqrt(B[x, a] B[y, c]) with B the binomial survival matrix.
+    """
+    B = binomial_population_matrix(eta, d)
+    n = np.arange(d)
+    lost = n[None, :] - n[:, None]  # a - x
+    same = lost[:, None, :, None] == lost[None, :, None, :]
+    L = np.where(same, np.sqrt(B[:, None, :, None] * B[None, :, None, :]), 0.0)
+    return L.reshape(d * d, d * d)
+
+
+def dense_loss(rho: np.ndarray, d: int, eta_s: float = 1.0, eta_i: float = 1.0) -> np.ndarray:
+    """Loss superoperators on the signal and idler modes of a joint density
+    operator: L_s R L_i^T, with R = rho regrouped over (s, s') x (i, i')."""
+    R = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    R = loss_superoperator(eta_s, d) @ R @ loss_superoperator(eta_i, d).T
+    return R.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def dense_sigma3(eng, theta: float, g=None):
     """(sigma3, dsigma3) at theta as dense matrices: the phase factor
-    exp(i theta g) conjugating the engine's A = U sigma2 U^dag, then the second
-    beam splitter. g defaults to the engine's generator (n_s - n_i)/2."""
+    exp(i theta g) conjugating A = U sigma2 U^dag, with the engine's sigma2,
+    then the second beam splitter. g defaults to the engine's generator
+    (n_s - n_i)/2."""
     if g is None:
         g = difference_generator(eng.cutoff.dim)
+    U = _bs_matrix(_BALANCED, eng.cutoff.max_photons)
+    Uh = U.conj().T
     e = np.exp(1j * theta * g)
-    F = np.outer(e, e.conj()) * eng._A
+    F = np.outer(e, e.conj()) * (U @ eng.sigma2 @ Uh)
     dF = 1j * (g[:, None] * F - F * g[None, :])
-    U, Uh = eng.Ub, eng.Ub.conj().T
     return U @ F @ Uh, U @ dF @ Uh
 
 
@@ -104,14 +135,16 @@ def dense_psi3(eng, theta: float):
     exp(i theta g) on a = U |TMSV>, then the second beam splitter."""
     d = eng.cutoff.dim
     g = difference_generator(d)
-    a = eng.Ub @ tmsv_vector(eng.squeezing.z, d)
+    U = _bs_matrix(_BALANCED, eng.cutoff.max_photons)
+    a = U @ tmsv_vector(eng.squeezing.z, d)
     e = np.exp(1j * theta * g)
-    return eng.Ub @ (e * a), eng.Ub @ (1j * g * e * a)
+    return U @ (e * a), U @ (1j * g * e * a)
 
 
 def dense_sigma4(eng, theta: float, g=None):
-    """(sigma4, dsigma4) at theta: dense_sigma3 through the engine's detection loss."""
-    return tuple(eng._detection_loss(x) for x in dense_sigma3(eng, theta, g))
+    """(sigma4, dsigma4) at theta: dense_sigma3 through the dense detection loss."""
+    etas = (eng.loss.eta_d_s, eng.loss.eta_d_i)
+    return tuple(dense_loss(x, eng.cutoff.dim, *etas) for x in dense_sigma3(eng, theta, g))
 
 
 def series_sigma4(eng, theta: float):
@@ -121,6 +154,15 @@ def series_sigma4(eng, theta: float):
     for block, b in zip(eng.parity_block_series, eng.parity_blocks):
         rho[np.ix_(b, b)], drho[np.ix_(b, b)] = block.at(theta)
     return rho, drho
+
+
+def joint_loss(rho: np.ndarray, d: int, mode: str, eta: float) -> np.ndarray:
+    """The library's photon-shift loss kernel (optics.DensityElements) on one
+    mode of a joint density operator, with every element in its list."""
+    D = d * d
+    j, k = np.divmod(np.arange(D * D), D)
+    out = DensityElements(j, k, d).lose(rho.ravel(), eta, 0 if mode == "s" else 1)
+    return out.reshape(D, D)
 
 
 def loss_via_ancilla(rho: np.ndarray, d: int, mode: str, eta: float) -> np.ndarray:

@@ -244,6 +244,9 @@ class TestTomography:
             ("alpha_sq,outcome,count", ["1.0,0,80", "2.0,0,60", "2.0,1,40"], "1.0,-1,20", "outcome"),
             ("alpha_sq,outcome,count", ["1.0,0,80"], "1.0,1", "count"),
             ("count,alpha_sq,outcome", ["80,1.0,0"], "1.5e3,1.0,one", "outcome"),
+            # np.linalg.cond of the probe matrix would raise LinAlgError
+            ("alpha_sq,outcome,count", ["1.0,0,80", "1.0,1,20"], "nan,1,10", "alpha_sq"),
+            ("alpha_sq,outcome,count", ["1.0,0,80", "1.0,1,20"], "inf,0,10", "alpha_sq"),
         ],
     )
     def test_malformed_probe_row_exits_config(self, tmp_path, capsys, header, rows, bad, field):

@@ -1,5 +1,7 @@
 """Detector POVMs and maximum-likelihood tomography round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,8 +122,13 @@ class TestProbeMatrix:
         assert C[0].sum() == pytest.approx(1.0 - deficit, abs=1e-12)
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(ConfigError):
-            coherent_probe_matrix([-1.0], 5)
+        # and a non-finite one, on which np.linalg.cond(C) would fail; a
+        # probe set refuses the same intensities
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                coherent_probe_matrix([1.0, bad], 5)
+            with pytest.raises(ConfigError):
+                ProbeSet((1.0, bad), 100)
 
     def test_bit_identical_to_scipy_stats_poisson(self):
         # oracle: scipy.stats, which the package no longer imports. Up to

@@ -406,7 +406,7 @@ class TestParityBlockSeries:
         # z up to 0.85 puts mass in the dropped sectors n_s + n_i > M, and
         # transmissivities include 0 and 1, with and without preparation loss
         rng = np.random.default_rng(707)
-        for max_photons in range(3, 11):
+        for max_photons in (*range(3, 11), 12, 14, 16):
             for z in (rng.uniform(0.05, 0.6), 0.85):
                 for prep_loss in (False, True):
                     etas = rng.uniform(0.3, 1.0, 4)

@@ -16,29 +16,24 @@ from tmsvfisher.fock import signal_photon_numbers
 from tmsvfisher import optics
 from tmsvfisher.optics import (
     InterferometerEngine,
-    _apply_loss,
     _kept_sectors,
-    loss_superoperator,
+    _parity_block_elements,
     tmsv_state,
 )
 
 from conftest import (
     binomial_loss_matrix,
     bs_expm,
+    dense_loss,
     dense_sigma3,
     dense_sigma4,
     difference_generator,
+    joint_loss,
     loss_via_ancilla,
     random_density,
     series_sigma4,
     tmsv_vector,
 )
-
-
-def _loss(rho, d, mode, eta):
-    """The library's loss superoperator on one mode of a joint density operator."""
-    L = loss_superoperator(eta, d)
-    return _apply_loss(rho, d, L_s=L) if mode == "s" else _apply_loss(rho, d, L_i=L)
 
 
 def _pure(amps):
@@ -236,12 +231,12 @@ class TestLossChannel:
     def test_eta_one_is_identity(self, cutoff6):
         rng = np.random.default_rng(5)
         rho = random_density(rng, cutoff6.joint_dim)
-        out = _loss(rho, cutoff6.dim, "s", 1.0)
+        out = joint_loss(rho, cutoff6.dim, "s", 1.0)
         assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_eta_zero_empties_mode(self, cutoff6):
         d = cutoff6.dim
-        out = _loss(_pure(tmsv_state(0.5, cutoff6)), d, "s", 0.0)
+        out = joint_loss(_pure(tmsv_state(0.5, cutoff6)), d, "s", 0.0)
         pops = np.real(np.diag(out)).reshape(d, d)
         tail = 0.5 ** (2 * (cutoff6.max_photons + 1))  # pair mass beyond the cutoff
         assert pops[0].sum() == pytest.approx(1.0, abs=2 * tail)
@@ -251,7 +246,7 @@ class TestLossChannel:
         v = np.zeros((d, d))
         v[1, 0] = 1.0  # |1, 0>
         eta = 0.7
-        pops = np.real(np.diag(_loss(_pure(v), d, "s", eta))).reshape(d, d)
+        pops = np.real(np.diag(joint_loss(_pure(v), d, "s", eta))).reshape(d, d)
         assert pops[0].sum() == pytest.approx(1 - eta, abs=1e-12)
         assert pops[1].sum() == pytest.approx(eta, abs=1e-12)
 
@@ -260,7 +255,7 @@ class TestLossChannel:
         rho = _pure(tmsv_state(0.4, cutoff6))
         n_s = signal_photon_numbers(cutoff6)
         before = np.real(np.diag(rho)) @ n_s
-        after = np.real(np.diag(_loss(rho, d, "s", 0.6))) @ n_s
+        after = np.real(np.diag(joint_loss(rho, d, "s", 0.6))) @ n_s
         assert after == pytest.approx(0.6 * before, abs=1e-10)
 
     def test_kraus_vs_ancilla_on_random_states(self, cutoff6):
@@ -269,7 +264,7 @@ class TestLossChannel:
             for _ in range(3):
                 rho = random_density(rng, cutoff6.joint_dim)
                 for mode in ("s", "i"):
-                    a = _loss(rho, cutoff6.dim, mode, eta)
+                    a = joint_loss(rho, cutoff6.dim, mode, eta)
                     b = loss_via_ancilla(rho, cutoff6.dim, mode, eta)
                     assert np.max(np.abs(a - b)) < 1e-12
 
@@ -277,34 +272,57 @@ class TestLossChannel:
         d = cutoff6.dim
         amps = tmsv_state(0.5, cutoff6)
         eta = 0.8
-        out = _loss(_pure(amps), d, "s", eta)
+        out = joint_loss(_pure(amps), d, "s", eta)
         pops = np.real(np.diag(out)).reshape(d, d)
         B = binomial_loss_matrix(eta, d)
         expected = B @ np.abs(amps) ** 2
         assert np.max(np.abs(pops - expected)) < 1e-12
 
-    def test_superoperator_matches_kraus_sum_oracle(self):
+    def test_kernel_matches_kraus_sum_oracle(self):
         rng = np.random.default_rng(11)
         for max_photons in (3, 6, 10, 12):
             c = FockCutoff(max_photons)
             for eta in (0.0, 1.0, *rng.random(3)):
                 rho = random_density(rng, c.joint_dim)
                 for mode in ("s", "i"):
-                    got = _loss(rho, c.dim, mode, eta)
+                    got = joint_loss(rho, c.dim, mode, eta)
                     want = _kraus_oracle(rho, eta, c.dim, mode)
                     assert np.max(np.abs(got - want)) < 1e-14, (max_photons, eta, mode)
+
+    def test_kernel_matches_dense_superoperator(self):
+        # oracle: the dense (d^2, d^2) superoperator product. On the parity
+        # blocks' element list the kernel reads a source outside the list as
+        # 0, which is exact because loss maps a density supported on the
+        # blocks into the blocks
+        rng = np.random.default_rng(23)
+        for max_photons in (1, 4, 7, 10):
+            d = max_photons + 1
+            blocks, els = _parity_block_elements(max_photons)
+            on_blocks = np.zeros((d * d, d * d), dtype=bool)
+            on_blocks[els.rows, els.cols] = True
+            for eta in (0.0, 1.0, *rng.uniform(0.05, 0.95, 2)):
+                rho = random_density(rng, d * d)
+                block_rho = np.where(on_blocks, rho, 0.0)
+                for mode in ("s", "i"):
+                    etas = (eta, 1.0) if mode == "s" else (1.0, eta)
+                    want = dense_loss(rho, d, *etas)
+                    assert np.max(np.abs(joint_loss(rho, d, mode, eta) - want)) < 1e-14
+                    want = dense_loss(block_rho, d, *etas)
+                    assert np.max(np.abs(want[~on_blocks])) == 0.0
+                    got = els.lose(rho[els.rows, els.cols], eta, 0 if mode == "s" else 1)
+                    assert np.max(np.abs(got - want[els.rows, els.cols])) < 1e-14
 
     def test_trace_and_hermiticity_preserved(self, cutoff6):
         rng = np.random.default_rng(7)
         rho = random_density(rng, cutoff6.joint_dim)
-        out = _loss(rho, cutoff6.dim, "i", 0.33)
+        out = joint_loss(rho, cutoff6.dim, "i", 0.33)
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
 class TestEvolvePipeline:
     """The dense per-phase state (conftest's dense_sigma4) built on the
-    engine's sigma2, A and detection loss."""
+    engine's sigma2."""
 
     def test_vacuum_in_vacuum_out(self, cutoff6):
         eng = InterferometerEngine(SqueezingParams(0.0), LossModel.symmetric(0.7), cutoff6)
