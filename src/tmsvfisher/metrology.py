@@ -129,9 +129,14 @@ def lossless_qfi(squeezing: SqueezingParams, cutoff: FockCutoff) -> float:
 
 
 def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
-    """QFI via the spectral SLD formula 2 sum |<a|drho|b>|^2 / (lam_a + lam_b)."""
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
+    """QFI via the spectral SLD formula 2 sum |<a|drho|b>|^2 / (lam_a + lam_b).
+
+    Works in the inputs' own dtype, at least float64: a real symmetric pair
+    takes a real eigh and real products.
+    """
+    rho, drho = np.asarray(rho), np.asarray(drho)
+    dtype = np.result_type(rho, drho, np.float64)
+    rho, drho = rho.astype(dtype, copy=False), drho.astype(dtype, copy=False)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ConfigError("state is not Hermitian")
     if np.max(np.abs(drho - drho.conj().T)) > 1e-10:
@@ -297,8 +302,9 @@ def sweep_fisher(
     The config's own phase field is ignored; the grid drives the sweep. The CFI
     comes from the outcome phase series. The lossless QFI does not depend on
     the phase and is computed once (lossless_qfi). The lossy QFI comes from
-    the engine's series of sigma4's two photon-number-parity blocks, with one
-    eigendecomposition per block per evaluated phase. The metadata carries
+    the engine's real series of sigma4's two photon-number-parity blocks,
+    with one real symmetric eigendecomposition per block per evaluated phase.
+    The metadata carries
     truncation_mass, the probability the cutoff drops (optics.truncation_mass).
 
     Both columns are evaluated once per mirror class of the grid and copied to

@@ -309,24 +309,29 @@ class PhaseSeries:
 
 
 @dataclass(frozen=True)
-class HermitianSeries:
-    """Exact Hermitian-matrix trigonometric polynomial H(theta) = F + F^dag,
-    with F = sum_{w=0..W} exp(i w theta) coeffs[w].
+class SymmetricSeries:
+    """Exact real-symmetric-matrix trigonometric polynomial
+    H(theta) = sum_{w=0..W} coeffs[..., w] t_w(theta), with t_w = sin(w theta)
+    on the entries where `odd` holds and cos(w theta) on the others.
 
-    coeffs[0] holds half the constant term, so H's frequencies are -W..W with
-    the negative ones supplied by the adjoint. The derivative is exact term by
-    term: c_w -> i w c_w. H and dH are exactly Hermitian.
+    coeffs is element-major, (n, n, W + 1), and symmetric in its first two
+    axes, as `odd` is, so H and dH are exactly symmetric. The derivative is
+    exact term by term: cos(w theta) -> -w sin(w theta), sin(w theta) ->
+    w cos(w theta).
     """
 
     coeffs: np.ndarray
+    odd: np.ndarray
 
     def at(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(H(theta), dH/dtheta) at one phase."""
-        w = np.arange(self.coeffs.shape[0])
-        e = np.exp(1j * theta * w)
-        F = np.tensordot(e, self.coeffs, 1)
-        dF = np.tensordot(1j * w * e, self.coeffs, 1)
-        return F + F.conj().T, dF + dF.conj().T
+        """(H(theta), dH/dtheta) at one phase, as float64 arrays."""
+        w = np.arange(self.coeffs.shape[-1])
+        c, s = np.cos(theta * w), np.sin(theta * w)
+        f = self.coeffs.reshape(-1, w.size) @ np.stack((c, s, -w * s, w * c), axis=1)
+        odd = self.odd.ravel()
+        return tuple(
+            np.where(odd, f[:, k + 1], f[:, k]).reshape(self.odd.shape) for k in (0, 2)
+        )
 
 
 def pair_distribution(z: float, eta_s: float, eta_i: float, d: int) -> np.ndarray:
@@ -459,8 +464,9 @@ class InterferometerEngine:
     sigma3(theta) differs from the fixed conjugation A = U_bs sigma2 U_bs^dag
     only by an elementwise phase factor exp(i theta (g_j - g_k)); split by
     frequency, this gives the QFI its series of sigma4's parity blocks
-    (parity_block_series). Every stage works on the elements of those blocks:
-    loss shifts photon numbers within them (DensityElements). sigma2 is built
+    (parity_block_series), each block real symmetric at every phase. Every
+    stage works on the elements of those blocks: loss shifts photon numbers
+    within them (DensityElements). sigma2 is built
     on first use. The populations are the outcome series under identity POVM
     slices.
     """
@@ -488,8 +494,8 @@ class InterferometerEngine:
         return out
 
     @cached_property
-    def parity_block_series(self) -> tuple[HermitianSeries, ...]:
-        """sigma4(theta) restricted to each of parity_blocks, as exact series.
+    def parity_block_series(self) -> tuple[SymmetricSeries, ...]:
+        """sigma4(theta) restricted to each of parity_blocks, as exact real series.
 
         Within a parity block the phase factor's frequencies g_j - g_k are the
         integers -M..M, and detection loss is linear, so the block is
@@ -498,11 +504,18 @@ class InterferometerEngine:
 
         The terms are built in real arithmetic. With U_bs = P R P,
         P = diag(i^n_s), and sigma2 supported on s_j - s_k = i_j - i_k,
-        S_w = V Lambda_d(R (C o [g_j - g_k = w]) R^T) V^dag with
+        S_w = V Y_w V^dag with Y_w = Lambda_d(R (C o [g_j - g_k = w]) R^T),
         C = D R sigma2 R^T D, D = P^2 = diag((-1)^n_s), and the phases
-        V_j conj(V_k) = i^(s_j - s_k + (N_j - N_k)/2), which loss leaves
+        V_j conj(V_k) = i^t, t = s_j - s_k + (N_j - N_k)/2, which loss leaves
         unchanged (docs/decisions.md, entry 10). Each block costs 2(M + 1)
         matrix products of its own size, once per engine.
+
+        Entry (j, k) of the block is then i^t sum_w (cos(w theta) (Y_w +
+        Y_w^T) + i sin(w theta) (Y_w - Y_w^T)), and the block is real
+        (docs/decisions.md, entry 11): where t is even only the cosine terms
+        remain, with sign i^t, and where t is odd only the sine terms, with
+        sign i^(t + 1). So one real table per block holds the series; the
+        detection-lossy Y_w are overwritten with it in place.
         """
         M = self.cutoff.max_photons
         R = _bs_rephased(_BALANCED, M)
@@ -519,15 +532,22 @@ class InterferometerEngine:
             C = sign[b, None] * (Rb @ self.sigma2[np.ix_(b, b)] @ Rb.T) * sign[None, b]
             omega = g[b, None] - g[None, b]
             X[rows] = (Rb @ np.where(omega == w, C, 0.0) @ Rb.T).reshape(M + 1, -1).T
-        X = els.lose(els.lose(X, self.loss.eta_d_s, 0), self.loss.eta_d_i, 1)
+        # one mode at a time, so each pass's input is freed before the next
+        X = els.lose(X, self.loss.eta_d_s, 0)
+        X = els.lose(X, self.loss.eta_d_i, 1)
         s_j, i_j, s_k, i_k = els.photons
         turns = (s_j - s_k) + (s_j + i_j - s_k - i_k) // 2
-        phases = np.array([1, 1j, -1, -1j])[turns % 4]
         series = []
         for b, rows in zip(self.parity_blocks, spans):
-            coeffs = np.multiply(X[rows].T, phases[rows], order="C")
-            coeffs[0] *= 0.5
-            series.append(HermitianSeries(coeffs.reshape(M + 1, b.size, b.size)))
+            n, t = b.size, turns[rows]
+            odd = t % 2 == 1
+            Y = X[rows]
+            mirror = Y[np.arange(n * n).reshape(n, n).T.ravel()]  # Y^T
+            mirror[odd] *= -1.0
+            Y += mirror
+            Y *= np.array([1.0, -1.0, -1.0, 1.0])[t % 4, None]  # i^t, or i^(t + 1)
+            Y[:, 0] *= 0.5
+            series.append(SymmetricSeries(Y.reshape(n, n, M + 1), odd.reshape(n, n)))
         return tuple(series)
 
     def populations(self, theta: float) -> np.ndarray:

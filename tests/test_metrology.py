@@ -37,7 +37,15 @@ from tmsvfisher.metrology import (
 )
 from tmsvfisher.optics import InterferometerEngine
 
-from conftest import dense_psi3, dense_sigma4, loop_report_csv, loop_report_json, loop_write_csv
+from conftest import (
+    bs_expm,
+    dense_psi3,
+    dense_sigma4,
+    difference_generator,
+    loop_report_csv,
+    loop_report_json,
+    loop_write_csv,
+)
 
 
 def _config(z=0.2, loss=None, phase=0.0, max_photons=8):
@@ -126,6 +134,29 @@ class TestQuantumFisher:
         rho[0, 1] = 0.5
         with pytest.raises(ConfigError):
             quantum_fisher_mixed(rho / np.trace(rho).real, np.zeros((3, 3), dtype=complex))
+
+    def test_real_symmetric_input_matches_complex_cast(self):
+        # a real pair takes a real eigh; the complex cast is the reference. A
+        # Wishart draw with 3 dim samples keeps rho well conditioned
+        rng = np.random.default_rng(2401)
+        for dim in (1, 2, 7, 30, 36):
+            G = rng.normal(size=(dim, 3 * dim))
+            rho = G @ G.T
+            rho /= np.trace(rho)
+            H = rng.normal(size=(dim, dim))
+            drho = H + H.T
+            got = quantum_fisher_mixed(rho, drho)
+            assert isinstance(got, float)
+            want = quantum_fisher_mixed(rho.astype(complex), drho.astype(complex))
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_non_symmetric_real_rejected(self):
+        rho = np.eye(3) / 3
+        rho[0, 1] = 0.1
+        with pytest.raises(ConfigError):
+            quantum_fisher_mixed(rho, np.zeros((3, 3)))
+        with pytest.raises(ConfigError):
+            quantum_fisher_mixed(np.eye(3) / 3, np.triu(np.ones((3, 3))))
 
 
 class TestShotNoiseLimit:
@@ -420,6 +451,7 @@ class TestParityBlockSeries:
                         rho, drho = dense_sigma4(eng, th)
                         for block, b in zip(eng.parity_block_series, eng.parity_blocks):
                             got, dgot = block.at(th)
+                            assert got.dtype == dgot.dtype == np.float64
                             assert np.max(np.abs(got - rho[np.ix_(b, b)])) < 1e-12
                             assert np.max(np.abs(dgot - drho[np.ix_(b, b)])) < 1e-12
 
@@ -449,6 +481,51 @@ class TestParityBlockSeries:
             cfg = _config(rng.uniform(0.2, 0.7), loss, max_photons=max_photons)
             qfi = sweep_fisher(cfg, grid, _pnr(max_photons), _pnr(max_photons)).qfi
             assert np.ptp(qfi) <= 1e-13 * np.max(qfi), (max_photons, np.ptp(qfi) / np.max(qfi))
+
+
+class TestRealParityBlocks:
+    """On the kept sectors the interferometer U E(theta) U is i^N times a real
+    orthogonal matrix, sigma2 is real and loss is phase-covariant, so every
+    parity block of sigma4(theta) is real (docs/decisions.md, entry 11). The
+    checks use the tests' own oracles: scipy's beam splitter and the dense
+    sigma4."""
+
+    @staticmethod
+    def _random_engines(seed):
+        rng = np.random.default_rng(seed)
+        for max_photons in range(3, 13):
+            for prep_loss in (False, True):
+                etas = rng.uniform(0.3, 1.0, 4)
+                etas[rng.integers(4)] = rng.choice([0.0, 1.0])
+                if not prep_loss:
+                    etas[:2] = 1.0
+                eng = InterferometerEngine(
+                    SqueezingParams(rng.uniform(0.05, 0.85)),
+                    LossModel(*etas),
+                    FockCutoff(max_photons),
+                )
+                yield eng, rng.uniform(-math.pi, 3 * math.pi, 2)
+
+    def test_interferometer_is_i_to_the_n_times_real_orthogonal(self):
+        rng = np.random.default_rng(2402)
+        for max_photons in range(3, 13):
+            d = max_photons + 1
+            N = np.add.outer(np.arange(d), np.arange(d)).ravel()
+            kept = np.flatnonzero(N <= max_photons)
+            U = bs_expm(0.5, d)
+            for th in rng.uniform(-math.pi, 3 * math.pi, 3):
+                E = np.exp(1j * th * difference_generator(d))
+                O = ((1j) ** -N[kept])[:, None] * (U @ (E[:, None] * U))[np.ix_(kept, kept)]
+                assert np.max(np.abs(O.imag)) < 1e-13
+                assert np.max(np.abs(O.real.T @ O.real - np.eye(kept.size))) < 1e-13
+
+    def test_dense_sigma4_parity_blocks_are_real(self):
+        for eng, thetas in self._random_engines(2403):
+            for th in thetas:
+                for x in dense_sigma4(eng, th):
+                    scale = np.max(np.abs(x))
+                    for b in eng.parity_blocks:
+                        assert np.max(np.abs(x[np.ix_(b, b)].imag)) <= 1e-14 * scale
 
 
 class TestMirrorSymmetry:
