@@ -17,6 +17,7 @@ from . import __version__
 from .detectors import (
     DetectorPovm,
     ResponseMatrix,
+    check_em_settings,
     click_povm_from,
     coherent_probe_matrix,
     ideal_pnr_povm,
@@ -280,6 +281,9 @@ def cmd_loss_scan(args):
 
 
 def cmd_tomography(args):
+    if args.kmax < 0:
+        raise ConfigError(f"kmax must be >= 0, got {args.kmax} (field: kmax)")
+    check_em_settings(args.tol, args.max_iter)
     alphas, counts = read_probe_csv(args.probes)
     shots = counts.sum(axis=1)
     # the counts are integers read as floats, so their sums are exact
@@ -293,7 +297,8 @@ def cmd_tomography(args):
         f"wrote {args.out}: {povm.theta.shape[0]}x{povm.theta.shape[1]} theta, "
         f"iterations={diag.iterations} converged={diag.converged} "
         f"loglik={diag.log_likelihood!r} cond(C)={diag.cond_C:.3e} "
-        f"ll_gain={diag.ll_gain!r} grad_norm={diag.grad_norm!r} start={diag.start}"
+        f"ll_gain={diag.ll_gain!r} grad_norm={diag.grad_norm!r} "
+        f"kkt_at_zero={diag.kkt_at_zero!r} start={diag.start}"
     )
     if not diag.converged:
         return EXIT_NONCONVERGENCE
@@ -451,8 +456,13 @@ def build_parser():
     sp = sub.add_parser("tomography", help="POVM reconstruction from probe data")
     sp.add_argument("probes", help="probe CSV: alpha_sq,outcome,count")
     sp.add_argument("--kmax", type=int, default=9, help="photon-number truncation")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="stop when an EM iteration raises the log-likelihood by less "
+                         "than this absolute amount (not relative to |ll|): at |ll| "
+                         "~1.5e9 the float64 spacing is 2.4e-7, so the default runs "
+                         "until the float64 log-likelihood stops rising")
+    sp.add_argument("--max-iter", dest="max_iter", type=int, default=100_000,
+                    help="EM iterations at most (at least 1)")
     sp.add_argument("--out", default="povm.json")
     sp.set_defaults(func=cmd_tomography)
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -275,6 +276,49 @@ class TestTomography:
         assert 0.0 <= diag.ll_gain < 1e-10
         assert fields["loglik"] == repr(diag.log_likelihood)
         assert line.split()[-1] == f"start={diag.start}" == "start=uniform"
+
+    def test_prints_kkt_at_zero_between_grad_norm_and_start(self, tmp_path, capsys):
+        # noisy ideal-PNR counts: the EM drives entries off the diagonal to
+        # exact zero, and the line reports the largest relative KKT
+        # violation among them
+        probe_path = tmp_path / "probes.csv"
+        _probe_csv(probe_path, ideal_pnr_povm(4, 4), rng=np.random.default_rng(1), shots=10**5,
+                   ladder=tuple(np.geomspace(0.05, 12.8, 12)))
+        assert run("tomography", probe_path, "--kmax", 4,
+                   "--out", tmp_path / "povm.json") == 0
+        words = capsys.readouterr().out.split()
+        keys = [w.split("=", 1)[0] for w in words if "=" in w]
+        assert keys[-3:] == ["grad_norm", "kkt_at_zero", "start"]
+        alphas, counts = read_probe_csv(probe_path)
+        povm, diag = tomography_mle(
+            ResponseMatrix(counts / counts.sum(axis=1, keepdims=True), 10**5),
+            coherent_probe_matrix(alphas, 4),
+        )
+        assert (povm.theta == 0.0).any()
+        fields = dict(w.split("=", 1) for w in words if "=" in w)
+        assert fields["kkt_at_zero"] == repr(diag.kkt_at_zero)
+        assert math.isfinite(diag.kkt_at_zero) and diag.kkt_at_zero >= 0.0
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            # max-iter 0 would index an empty log-likelihood trace
+            ("--max-iter", 0, "max-iter"),
+            ("--max-iter", -3, "max-iter"),
+            # a nan or negative tol would run as if it were 0
+            ("--tol", "nan", "tol"),
+            ("--tol", -1, "tol"),
+            ("--tol", "inf", "tol"),
+            ("--kmax", -1, "kmax"),
+        ],
+    )
+    def test_bad_setting_exits_config_before_reading_probes(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        # the probe CSV does not exist: the setting is refused before it is read
+        assert run("tomography", tmp_path / "missing.csv", flag, value,
+                   "--out", tmp_path / "povm.json") == 2
+        assert f"(field: {field})" in capsys.readouterr().err
 
     def test_too_few_probes_exits_identifiability(self, tmp_path):
         truth = efficiency_povm(0.9, 5, 5)

@@ -1,6 +1,7 @@
 """Detector POVMs and maximum-likelihood tomography round-trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,56 @@ class TestTomography:
             errs.append(np.max(np.abs(povm.theta - truth.theta)))
         assert errs[1] < errs[0]
 
+    def test_bad_em_settings_raise_config_error(self):
+        truth = efficiency_povm(0.8, 3, 3)
+        probes = ProbeSet(default_probe_ladder(8), 10**4)
+        resp = simulate_response(truth, probes)
+        C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
+        for kwargs, field in (
+            ({"max_iter": 0}, "max-iter"),
+            ({"max_iter": -3}, "max-iter"),
+            ({"max_iter": 2.5}, "max-iter"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": -1.0}, "tol"),
+            ({"tol": math.inf}, "tol"),
+        ):
+            with pytest.raises(ConfigError, match=f"\\(field: {field}\\)"):
+                tomography_mle(resp, C, **kwargs)
+        with pytest.warns(RuntimeWarning, match="max_iter=1 "):
+            _, diag = tomography_mle(resp, C, tol=0.0, max_iter=1)
+        assert diag.iterations == 1
+
+    @pytest.mark.parametrize("seed, violated", [(0, True), (1, False)])
+    def test_kkt_at_zero_is_the_largest_relative_violation_at_a_zero(self, seed, violated):
+        # noisy ideal-PNR counts from the uniform start: the multiplicative
+        # updates drive entries off the diagonal to exact zero; with seed 0
+        # the likelihood would rise by moving mass onto one of them, with
+        # seed 1 onto none
+        truth = ideal_pnr_povm(4, 4)
+        probes = ProbeSet(default_probe_ladder(12), 10**5)
+        resp = simulate_response(truth, probes, np.random.default_rng(seed))
+        C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
+        povm, diag = tomography_mle(resp, C)
+        theta = povm.theta
+        G = C.T @ (resp.counts / (C @ theta))
+        lam = (G * theta).sum(axis=1)
+        zeros = list(zip(*np.nonzero(theta == 0.0)))
+        assert zeros
+        want = max(max(G[k, n] - lam[k], 0.0) / lam[k] for k, n in zeros)
+        assert (want > 0.0) == violated
+        assert diag.kkt_at_zero == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_kkt_at_zero_without_zero_entries(self):
+        # the least-squares start floors every entry at 1e-12
+        probes = ProbeSet(default_probe_ladder(8), 10**4)
+        povm, diag = tomography_mle(
+            simulate_response(efficiency_povm(0.8, 3, 3), probes),
+            coherent_probe_matrix(probes.alpha_sq, 3),
+        )
+        assert diag.start == "least-squares"
+        assert povm.theta.min() > 0.0
+        assert diag.kkt_at_zero == 0.0
+
     def test_single_probe_identifiability_failure(self):
         R = np.zeros((1, 3))
         R[0, 0] = 1.0
@@ -325,6 +376,13 @@ class TestFixedPoint:
         _, _, _, starved = detectors._em_fixed_point(counts, C, theta, 0.0, 2)
         assert not starved
 
+    def test_max_iter_bounds_the_run_not_its_memory(self):
+        # a trace of 10^13 float64 entries would take 80 TB
+        counts, C, theta = _random_em_problem(6)
+        _, trace, n_iter, converged = detectors._em_fixed_point(counts, C, theta, 1e-6, 10**13)
+        assert converged
+        assert trace.dtype == np.float64 and trace.size == n_iter
+
     def test_loglik_evaluated_at_most_twice_per_iteration(self, monkeypatch):
         # the log-likelihood of the kept iterate is the one the safeguard
         # already computed; only the initial point adds one more call
@@ -340,7 +398,7 @@ class TestFixedPoint:
         theta, trace, n_iter, _ = detectors._em_fixed_point(counts, C, theta0, 1e-9, 2000)
         assert n_iter > 1
         assert len(calls) <= 2 * n_iter + 1
-        assert trace[-1] == original(counts, C, theta)
+        assert trace[-1] == original(counts, detectors._forward(C, theta))
 
     def test_em_step_and_projection_leave_no_subnormal_entry(self):
         counts, C, theta = _random_em_problem(8)
@@ -348,9 +406,10 @@ class TestFixedPoint:
         theta[2, 3] = 1e-310
         theta[1, 4] = 1e-300  # normal: kept
         theta[4, 1] = -1e-3  # clipped by the projection
+        positive = np.abs(theta)
         for flushed, oracle in (
-            (detectors._em_step(counts, C, np.abs(theta)),
-             _unflushed_em_step(counts, C, np.abs(theta))),
+            (detectors._em_step(counts, C, positive, detectors._forward(C, positive)),
+             _unflushed_em_step(counts, C, positive)),
             (detectors._project_simplex_rows(theta), _unflushed_project_simplex_rows(theta)),
         ):
             assert _n_subnormal(oracle) > 0
@@ -375,14 +434,15 @@ class TestFixedPoint:
 
         oracle_subnormals = []
 
-        def oracle_step(*args):
-            out = _unflushed_em_step(*args)
+        def oracle_step(counts, C, theta, *_):
+            out = _unflushed_em_step(counts, C, theta)
             oracle_subnormals.append(_n_subnormal(out))
             return out
 
         monkeypatch.setattr(detectors, "_em_step", oracle_step)
         monkeypatch.setattr(
-            detectors, "_project_simplex_rows", _unflushed_project_simplex_rows
+            detectors, "_project_simplex_rows",
+            lambda theta, out=None: _unflushed_project_simplex_rows(theta),
         )
         ref_theta, ref_trace, ref_n, ref_converged = detectors._em_fixed_point(
             counts, C, theta0, 1e-9, 20_000
@@ -394,6 +454,122 @@ class TestFixedPoint:
         normal = ref_theta >= _TINY
         assert np.array_equal(theta[normal], ref_theta[normal])
         assert np.all(theta[~normal] == 0.0)
+
+
+# The EM loop as it was before it formed one forward product per iterate in
+# work arrays: every helper allocates its result, and the step and the
+# projection are the unflushed ones above followed by the subnormal flush.
+# It records which branches and which exit a run took in `paths`, and
+# computes nothing else differently.
+
+def _flushed(theta):
+    theta[theta < _TINY] = 0.0
+    return theta
+
+
+def _allocating_em_step(counts, C, theta):
+    return _flushed(_unflushed_em_step(counts, C, theta))
+
+
+def _allocating_em_loglik(counts, C, theta):
+    P = C @ theta
+    return float(np.sum(counts * np.log(np.maximum(P, 1e-300))))
+
+
+def _allocating_project_simplex_rows(theta):
+    return _flushed(_unflushed_project_simplex_rows(theta))
+
+
+def _allocating_em_fixed_point(counts, C, theta0, tol, max_iter, paths):
+    counts = np.ascontiguousarray(counts, dtype=np.float64)
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    theta = np.ascontiguousarray(theta0, dtype=np.float64)
+    ll_trace = np.empty(max_iter)
+    ll_prev = _allocating_em_loglik(counts, C, theta)
+    converged = False
+    n_iter = 0
+    for it in range(max_iter):
+        t1 = _allocating_em_step(counts, C, theta)
+        t2 = _allocating_em_step(counts, C, t1)
+        r = t1 - theta
+        v = (t2 - t1) - r
+        vnorm = np.linalg.norm(v)
+        if vnorm == 0.0:
+            paths.add("v=0")
+            nxt, ll = t2, _allocating_em_loglik(counts, C, t2)
+        else:
+            alpha = min(-np.linalg.norm(r) / vnorm, -1.0)
+            cand = _allocating_project_simplex_rows(theta - 2.0 * alpha * r + alpha * alpha * v)
+            cand = _allocating_em_step(counts, C, cand)
+            ll_cand = _allocating_em_loglik(counts, C, cand)
+            ll_t2 = _allocating_em_loglik(counts, C, t2)
+            nxt, ll = (cand, ll_cand) if ll_cand >= ll_t2 else (t2, ll_t2)
+        n_iter = it + 1
+        if ll < ll_prev:
+            paths.add("ll<ll_prev")
+            ll_trace[it] = ll_prev
+            converged = True
+            break
+        theta = nxt
+        ll_trace[it] = ll
+        if ll - ll_prev < tol:
+            paths.add("gain<tol")
+            converged = True
+            break
+        ll_prev = ll
+    else:
+        paths.add("max_iter")
+    return theta, ll_trace[:n_iter], n_iter, converged
+
+
+def _tomography_problem(seed):
+    """A lossy-PNR POVM at k_max 3-9 probed by random intensities, with
+    multinomial counts on odd seeds and exact frequencies on even ones."""
+    rng = np.random.default_rng(seed)
+    k_max = int(rng.integers(3, 10))
+    n_max = int(rng.integers(1, k_max + 1))
+    truth = efficiency_povm(float(rng.uniform(0.5, 1.0)), n_max, k_max)
+    n_probes = int(rng.integers(2 * k_max + 2, 6 * k_max))
+    probes = ProbeSet(tuple(np.sort(rng.uniform(0.1, 3.0 * k_max, n_probes))),
+                      int(10 ** rng.integers(3, 7)))
+    resp = simulate_response(truth, probes, rng if seed % 2 else None)
+    return resp, coherent_probe_matrix(probes.alpha_sq, k_max), rng
+
+
+class TestIteratesMatchAllocatingLoop:
+    def test_bit_identical_on_random_problems(self, monkeypatch):
+        # every problem runs from tomography_mle's own start (least squares
+        # on exact frequencies, uniform on noisy counts), from a random
+        # complete theta0, and from a one-hot theta0, a fixed point of the
+        # multiplicative step where v = 0
+        paths = set()
+        starts = set()
+        original = detectors._em_fixed_point
+
+        def compared(counts, C, theta0, tol, max_iter):
+            got = original(counts, C, theta0, tol, max_iter)
+            want = _allocating_em_fixed_point(counts, C, theta0, tol, max_iter, paths)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2:] == want[2:]
+            return got
+
+        monkeypatch.setattr(detectors, "_em_fixed_point", compared)
+        # k_max 3-9; seed 24's least-squares run stops at an iterate below
+        # the current one
+        for seed in range(20, 28):
+            resp, C, rng = _tomography_problem(seed)
+            K, N = C.shape[1], resp.R.shape[1]
+            random_start = rng.random((K, N))
+            random_start /= random_start.sum(axis=1, keepdims=True)
+            one_hot = np.eye(N)[rng.integers(0, N, K)]
+            for theta0 in (None, random_start, one_hot):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    _, diag = tomography_mle(resp, C, tol=1e-9, max_iter=1000, theta0=theta0)
+                starts.add(diag.start)
+        assert starts == {"least-squares", "uniform", "given"}
+        assert paths == {"v=0", "ll<ll_prev", "gain<tol", "max_iter"}
 
 
 class TestProbeCsv:
