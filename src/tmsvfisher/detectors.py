@@ -369,7 +369,6 @@ def tomography_mle(
     *,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    allow_rank_deficient: bool = False,
     theta0: np.ndarray | None = None,
 ) -> tuple[DetectorPovm, TomographyDiagnostics]:
     """Maximum-likelihood POVM reconstruction from R = C Theta.
@@ -396,12 +395,9 @@ def tomography_mle(
         raise IdentifiabilityError(f"need at least as many probes ({M}) as outcomes ({N})")
     cond = float(np.linalg.cond(C))
     if np.linalg.matrix_rank(C) < K:
-        if not allow_rank_deficient:
-            raise IdentifiabilityError(
-                f"probe matrix is column-rank deficient (cond={cond:.3e}); "
-                "add probe amplitudes or pass allow_rank_deficient=True"
-            )
-        warnings.warn(f"rank-deficient probe matrix, cond={cond:.3e}", RuntimeWarning)
+        raise IdentifiabilityError(
+            f"probe matrix is column-rank deficient (cond={cond:.3e}); add probe amplitudes"
+        )
 
     counts = response.counts
     start = "given"

@@ -45,10 +45,6 @@ class CountHistogram:
         if (sums > self.trials_per_phase).any():
             raise ConfigError("per-phase counts exceed trials_per_phase")
 
-    def is_strict(self) -> bool:
-        sums = self.counts.reshape(self.phases.size, -1).sum(axis=1)
-        return bool((sums == self.trials_per_phase).all())
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write(f"# trials_per_phase={self.trials_per_phase}\n")

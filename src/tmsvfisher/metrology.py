@@ -16,12 +16,13 @@ from .detectors import DetectorPovm, click_povm_from, ideal_pnr_povm
 from .errors import ConfigError
 from .fock import FockCutoff
 from .optics import (
+    _BALANCED,
     InterferometerConfig,
     InterferometerEngine,
     LossModel,
     PhaseSeries,
     SqueezingParams,
-    balanced_tmsv,
+    _bs_rephased,
     outcome_phase_series,
     phase_generator,
     truncation_mass,
@@ -123,9 +124,19 @@ def lossless_qfi(squeezing: SqueezingParams, cutoff: FockCutoff) -> float:
     """QFI of the lossless family U_bs exp(i theta g) a, a = U_bs |TMSV>, at
     every phase: U_bs is unitary on the sectors n_s + n_i <= M, which hold a
     and every exp(i theta g) a, and exp(i theta g) commutes with g, so it is
-    4 Var_a(g), the pure-state QFI of (a, i g a)."""
-    a = balanced_tmsv(squeezing.z, cutoff)
-    return quantum_fisher_pure(a, 1j * phase_generator(cutoff) * a)
+    4 Var_a(g) (docs/decisions.md, entry 5).
+
+    With U_bs = P R P and P = diag(i^n_s) (_bs_rephased), |a_j|^2 has one
+    term: R is block-diagonal in N = n_s + n_i, so only the pair |n, n> with
+    2n = N_j feeds output j, and |a|^2 = (R[:, (n, n)]^2) c^2, with
+    c^2 = (1 - z^2) z^(2n) the TMSV's pair weights.
+    """
+    d, z = cutoff.dim, squeezing.z
+    n = np.arange(d)
+    pairs = (1.0 - z * z) * z ** (2 * n)
+    p = _bs_rephased(_BALANCED, cutoff.max_photons)[:, n * d + n] ** 2 @ pairs
+    g = phase_generator(cutoff)
+    return float(4.0 * (p @ g**2 - (p @ g) ** 2))
 
 
 def quantum_fisher_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
@@ -303,8 +314,9 @@ def sweep_fisher(
     comes from the outcome phase series. The lossless QFI does not depend on
     the phase and is computed once (lossless_qfi). The lossy QFI comes from
     the engine's real series of sigma4's two photon-number-parity blocks,
-    with one real symmetric eigendecomposition per block per evaluated phase.
-    The metadata carries
+    built once per sweep on dense arrays over the blocks, with one real
+    symmetric eigendecomposition per block per evaluated phase. The metadata
+    carries
     truncation_mass, the probability the cutoff drops (optics.truncation_mass).
 
     Both columns are evaluated once per mirror class of the grid and copied to

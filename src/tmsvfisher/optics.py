@@ -82,15 +82,6 @@ class InterferometerConfig:
 # Source state and beam splitter
 # ---------------------------------------------------------------------------
 
-def tmsv_state(z: float, cutoff: FockCutoff) -> np.ndarray:
-    """Truncated TMSV as a (d, d) amplitude array c[n_s, n_i]: sqrt(1-z^2) z^n
-    on |n, n>."""
-    d = cutoff.dim
-    amps = np.zeros((d, d), dtype=complex)
-    amps[np.arange(d), np.arange(d)] = math.sqrt(1.0 - z**2) * z ** np.arange(d)
-    return amps
-
-
 def _bs_block(eta: float, N: int) -> np.ndarray:
     """Real (N+1)x(N+1) beam-splitter block on total photon number N.
 
@@ -138,13 +129,6 @@ def _kept_sectors(cutoff: FockCutoff) -> np.ndarray:
     return np.add.outer(n, n) <= cutoff.max_photons
 
 
-def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
-    """Joint-space beam splitter U = P R P, with R = _bs_rephased and P = diag(i^n_s)."""
-    d = max_photons + 1
-    ph = np.array([1, 1j, -1, -1j])[np.arange(d * d) // d % 4]
-    return ph[:, None] * _bs_rephased(eta, max_photons) * ph[None, :]
-
-
 # ---------------------------------------------------------------------------
 # Loss channels
 # ---------------------------------------------------------------------------
@@ -184,90 +168,83 @@ def binomial_derivative(B: np.ndarray) -> np.ndarray:
     return np.arange(B.shape[1]) * (lower - prev)
 
 
-class DensityElements:
-    """A fixed list of density-matrix elements (j, k) of the joint space, and
-    pure loss on values held over it (docs/decisions.md, entry 10).
+def block_shift_plan(blocks, d: int):
+    """Pure loss's photon shifts on a density operator held as dense blocks
+    (docs/decisions.md, entry 13).
 
-    Loss of transmissivity eta on one mode has the Kraus set
-    K_l[n - l, n] = sqrt(B[n - l, n]), B the binomial survival matrix: it
-    lowers that mode's photon number by the same l on both sides of an
-    element and keeps n - n'. So element e, with x and y photons in the mode
-    on its two sides, reads only the element src_l(e) with l more photons in
-    that mode on both sides: out[e] = sum_l k_l[x] k_l[y] X[src_l(e)], with
-    k_l[x] = sqrt(B[x, x + l]). A source not in the list is read as 0, so the
-    list must hold every element whose value can be nonzero.
+    blocks lists, per block, the joint indices n_s * d + n_i of its states; a
+    block array X[r] holds (n_r, n_r, ...) values over them. Loss on one mode
+    keeps n - n' there and lowers both sides by the same l (its Kraus set
+    K_l[n - l, n] = sqrt(B[n - l, n])), so the states of one block with l more
+    photons in the mode lie in one block. Returns (d, modes), where
+    modes[mode][r], for mode 0 (signal) or 1 (idler), is (diag, shifts):
+    diag indexes B[x, x] in the flattened B for the photons x of block r's
+    states in that mode, and shifts holds, per l = 1..d-1 with a source,
+    (dst, src_block, src, off): the sub-block (np.ix_) of the rows whose state
+    with l more photons is held, the block holding those states, the
+    sub-block of their rows there, and the flat indices of B[x, x + l] on the
+    rows. A state not held is read as 0.
     """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, d: int):
-        self.rows, self.cols, self.d = rows, cols, d
-        self.photons = np.stack(np.divmod(rows, d) + np.divmod(cols, d))  # s, i, s', i'
-        self._shifts = tuple(self._mode_shifts(mode) for mode in (0, 1))
-        for a in (rows, cols, self.photons):
-            a.flags.writeable = False
-
-    def _mode_shifts(self, mode: int):
-        """Per l = 1..d-1, the (dst, src) positions of the elements whose
-        source with l more photons in the mode (0 signal, 1 idler) is listed."""
-        d, D = self.d, self.d * self.d
-        x, y = self.photons[mode], self.photons[mode + 2]
-        step = d if mode == 0 else 1  # joint-index step of one photon in the mode
-        keys = self.rows * D + self.cols
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        shifts = []
-        for l in range(1, d):
-            dst = np.flatnonzero((x + l < d) & (y + l < d))
-            want = keys[dst] + l * step * (D + 1)
-            pos = np.minimum(np.searchsorted(sorted_keys, want), keys.size - 1)
-            found = sorted_keys[pos] == want
-            shifts.append((dst[found], order[pos[found]]))
-        return shifts
-
-    def lose(self, values: np.ndarray, eta: float, mode: int) -> np.ndarray:
-        """Pure loss on the signal (mode 0) or idler (mode 1) of the values
-        held over the list on the first axis; any further axes are carried
-        along (rows of one element stay contiguous for the gathers)."""
-        if eta == 1.0:
-            return values
-        x, y = self.photons[mode], self.photons[mode + 2]
-        k = np.sqrt(binomial_population_matrix(eta, self.d))
-        trailing = (1,) * (values.ndim - 1)
-        out = values * (k[x, x] * k[y, y]).reshape(-1, *trailing)
-        for l, (dst, src) in enumerate(self._shifts[mode], 1):
-            xd, yd = x[dst], y[dst]
-            shifted = values[src]
-            shifted *= (k[xd, xd + l] * k[yd, yd + l]).reshape(-1, *trailing)
-            out[dst] += shifted
-        return out
+    where = np.full(d * d, -1)
+    pos = np.zeros(d * d, dtype=int)
+    for r, b in enumerate(blocks):
+        where[b], pos[b] = r, np.arange(b.size)
+    modes = []
+    for mode, step in ((0, d), (1, 1)):  # joint-index step of one photon in the mode
+        per_block = []
+        for b in blocks:
+            x = np.divmod(b, d)[mode]
+            shifts = []
+            for l in range(1, d):
+                dst = np.flatnonzero(x + l < d)
+                src = b[dst] + l * step
+                held = where[src] >= 0
+                dst, src = dst[held], src[held]
+                if dst.size:
+                    rows = pos[src]
+                    off = x[dst] * (d + 1) + l
+                    shifts.append((np.ix_(dst, dst), int(where[src[0]]), np.ix_(rows, rows), off))
+            per_block.append((x * (d + 1), shifts))
+        modes.append(per_block)
+    return d, modes
 
 
-@lru_cache(maxsize=8)
-def _pair_coherences(max_photons: int) -> DensityElements:
-    """The elements (j, k) with s_j - s_k = i_j - i_k: the support of the
-    TMSV's density operator, which loss on either mode maps into itself."""
-    d = max_photons + 1
-    j, k = np.divmod(np.arange(d**4), d * d)
-    keep = j // d - k // d == j % d - k % d
-    return DensityElements(j[keep], k[keep], d)
+def block_loss(X: list, plan, eta: float, mode: int) -> list:
+    """Pure loss of transmissivity eta on the signal (mode 0) or idler (mode
+    1) of the block arrays X under block_shift_plan's plan: row u and column
+    u' of a block, with x and y photons in the mode, read the entries l
+    photons up in the source block, out = sum_l k_l[x] k_l[y] X_src, with
+    k_l[x] = sqrt(B[x, x + l]). Each X[r] is (n_r, n_r, W); the trailing
+    axis is carried along."""
+    if eta == 1.0:
+        return X
+    d, modes = plan
+    k = np.sqrt(binomial_population_matrix(eta, d)).ravel()
+    out = []
+    for Xr, (diag, shifts) in zip(X, modes[mode]):
+        kx = k[diag]
+        Y = Xr * np.multiply.outer(kx, kx)[..., None]
+        for dst, src_block, src, off in shifts:
+            kl = k[off]
+            Y[dst] += X[src_block][src] * np.multiply.outer(kl, kl)[..., None]
+        out.append(Y)
+    return out
 
 
 @lru_cache(maxsize=8)
-def _parity_block_elements(max_photons: int):
-    """(blocks, elements): the joint indices of the kept sectors n_s + n_i <= M
-    with even and with odd n_s + n_i, and every element (j, k) with j and k in
-    one block, block by block in row-major order. Loss keeps n - n' on each
-    mode and lowers N on both sides together, so every source of such an
-    element is one too (an odd l reads the other block), or lies in a sector
-    N > M, which the beam splitter leaves at 0."""
+def _parity_blocks(max_photons: int):
+    """(blocks, plan): the joint indices of the kept sectors n_s + n_i <= M
+    with even and with odd n_s + n_i, and their block_shift_plan. Loss keeps
+    n - n' on each mode and lowers N on both sides together, so the source of
+    an entry of a block lies in a block (an odd l reads the other one), or in
+    a sector N > M, which the beam splitter leaves at 0."""
     d = max_photons + 1
     N = np.add.outer(np.arange(d), np.arange(d)).ravel()
     kept = _kept_sectors(FockCutoff(max_photons)).ravel()
     blocks = tuple(np.flatnonzero(kept & (N % 2 == r)) for r in (0, 1))
-    rows = np.concatenate([np.repeat(b, b.size) for b in blocks])
-    cols = np.concatenate([np.tile(b, b.size) for b in blocks])
     for b in blocks:
         b.flags.writeable = False
-    return blocks, DensityElements(rows, cols, d)
+    return blocks, block_shift_plan(blocks, d)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +369,7 @@ def pair_sector_map(max_photons: int) -> PairSectorMap:
     diagonal. The amplitude of output k from input (a, N - a) is
     sum_m g[k, m, a] exp(i theta (m - N/2)), with
     g[k, m, a] = U[k, (m, N - m)] U[(m, N - m), (a, N - a)] for the balanced
-    beam splitter U = P R P of _bs_matrix. Since P = diag(i^n_s),
+    beam splitter U = P R P, R = _bs_rephased. Since P = diag(i^n_s),
     g = i^(k_s + a) (-1)^m G with G[k, m, a] = R[k, (m, N - m)] R[(m, N - m),
     (a, N - a)] real, so the coefficient of exp(i w theta) in diag(sigma3)[k],
     sum_a sum_{m - x = w} g[k, m, a] conj(g[k, x, a]) q[a, N - a], has the real
@@ -453,11 +430,6 @@ def phase_generator(cutoff: FockCutoff) -> np.ndarray:
     return 0.5 * (n[:, None] - n[None, :]).ravel()
 
 
-def balanced_tmsv(z: float, cutoff: FockCutoff) -> np.ndarray:
-    """a = U_bs |TMSV>, the lossless state before the phase, as a joint vector."""
-    return _bs_matrix(_BALANCED, cutoff.max_photons) @ tmsv_state(z, cutoff).ravel()
-
-
 class InterferometerEngine:
     """Precomputed sigma1 -> sigma4 pipeline for the lossy QFI.
 
@@ -465,10 +437,10 @@ class InterferometerEngine:
     only by an elementwise phase factor exp(i theta (g_j - g_k)); split by
     frequency, this gives the QFI its series of sigma4's parity blocks
     (parity_block_series), each block real symmetric at every phase. Every
-    stage works on the elements of those blocks: loss shifts photon numbers
-    within them (DensityElements). sigma2 is built
-    on first use. The populations are the outcome series under identity POVM
-    slices.
+    stage works on dense arrays over those blocks: sigma2 is a masked Gram
+    product on each (sigma2_blocks), and loss maps a block onto a sub-block
+    of one block (block_loss). The populations are the outcome series under
+    identity POVM slices.
     """
 
     def __init__(self, squeezing: SqueezingParams, loss: LossModel, cutoff: FockCutoff):
@@ -479,19 +451,33 @@ class InterferometerEngine:
         # splitter keeps, and every stage conserves the parity of n_s + n_i,
         # so sigma4 and its derivative are block-diagonal over these two
         # index sets.
-        self.parity_blocks, self._elements = _parity_block_elements(cutoff.max_photons)
+        self.parity_blocks, self._shifts = _parity_blocks(cutoff.max_photons)
 
-    @cached_property
-    def sigma2(self) -> np.ndarray:
-        """Density operator after preparation loss, as a real (d^2, d^2) array."""
-        els = _pair_coherences(self.cutoff.max_photons)
-        s, i, s2, i2 = els.photons
-        c = tmsv_state(self.squeezing.z, self.cutoff).diagonal().real
-        rho = np.where((s == i) & (s2 == i2), c[s] * c[s2], 0.0)
-        rho = els.lose(els.lose(rho, self.loss.eta_p_s, 0), self.loss.eta_p_i, 1)
-        out = np.zeros((self.cutoff.joint_dim, self.cutoff.joint_dim))
-        out[els.rows, els.cols] = rho
-        return out
+    def sigma2_blocks(self) -> list[np.ndarray]:
+        """The density operator after preparation loss on each of
+        parity_blocks, as real (n_r, n_r) arrays (docs/decisions.md, entry 13).
+
+        Loss of l_s signal and l_i idler photons takes the pair |n, n> to
+        |n - l_s, n - l_i> with amplitude c_n sqrt(B_s[n - l_s, n]
+        B_i[n - l_i, n]), c_n the TMSV amplitudes, so sigma2 is the sum of the
+        rank-one branches (l_s, l_i). States u = (s, i) share a branch where
+        l_s = n - s agrees and s - i = l_i - l_s agrees, so on a block
+        sigma2 = (v v^T) o [s_u - i_u = s_u' - i_u'], with
+        v[u, l] = c_n sqrt(B_s[s, n] B_i[i, n]) at n = s + l <= M.
+        """
+        z, M = self.squeezing.z, self.cutoff.max_photons
+        d = M + 1
+        c = math.sqrt(1.0 - z**2) * z ** np.arange(d)
+        root_s = np.sqrt(binomial_population_matrix(self.loss.eta_p_s, d))
+        root_i = np.sqrt(binomial_population_matrix(self.loss.eta_p_i, d))
+        blocks = []
+        for b in self.parity_blocks:
+            s, i = np.divmod(b, d)
+            n = s[:, None] + np.arange(d)
+            m = np.minimum(n, M)
+            v = np.where(n <= M, c[m] * root_s[s[:, None], m] * root_i[i[:, None], m], 0.0)
+            blocks.append(np.where(np.subtract.outer(s - i, s - i) == 0, v @ v.T, 0.0))
+        return blocks
 
     @cached_property
     def parity_block_series(self) -> tuple[SymmetricSeries, ...]:
@@ -518,36 +504,31 @@ class InterferometerEngine:
         detection-lossy Y_w are overwritten with it in place.
         """
         M = self.cutoff.max_photons
+        d = M + 1
         R = _bs_rephased(_BALANCED, M)
         g = phase_generator(self.cutoff)
         sign = 1.0 - 2.0 * (signal_photon_numbers(self.cutoff) % 2)
         w = np.arange(M + 1)[:, None, None]
-        els = self._elements
-        # element-major, (elements, M + 1), block by block as els lists them
-        X = np.empty((els.rows.size, M + 1))
-        ends = np.cumsum([b.size**2 for b in self.parity_blocks])
-        spans = [slice(end - b.size**2, end) for b, end in zip(self.parity_blocks, ends)]
-        for b, rows in zip(self.parity_blocks, spans):
+        X = []  # per block, (n, n, M + 1)
+        for b, sigma2 in zip(self.parity_blocks, self.sigma2_blocks()):
             Rb = R[np.ix_(b, b)]
-            C = sign[b, None] * (Rb @ self.sigma2[np.ix_(b, b)] @ Rb.T) * sign[None, b]
+            C = sign[b, None] * (Rb @ sigma2 @ Rb.T) * sign[None, b]
             omega = g[b, None] - g[None, b]
-            X[rows] = (Rb @ np.where(omega == w, C, 0.0) @ Rb.T).reshape(M + 1, -1).T
+            X.append((Rb @ np.where(omega == w, C, 0.0) @ Rb.T).transpose(1, 2, 0).copy())
         # one mode at a time, so each pass's input is freed before the next
-        X = els.lose(X, self.loss.eta_d_s, 0)
-        X = els.lose(X, self.loss.eta_d_i, 1)
-        s_j, i_j, s_k, i_k = els.photons
-        turns = (s_j - s_k) + (s_j + i_j - s_k - i_k) // 2
+        X = block_loss(X, self._shifts, self.loss.eta_d_s, 0)
+        X = block_loss(X, self._shifts, self.loss.eta_d_i, 1)
         series = []
-        for b, rows in zip(self.parity_blocks, spans):
-            n, t = b.size, turns[rows]
+        for b, Y in zip(self.parity_blocks, X):
+            s, i = np.divmod(b, d)
+            t = np.subtract.outer(s, s) + np.subtract.outer(s + i, s + i) // 2
             odd = t % 2 == 1
-            Y = X[rows]
-            mirror = Y[np.arange(n * n).reshape(n, n).T.ravel()]  # Y^T
+            mirror = Y.transpose(1, 0, 2).copy()  # Y^T
             mirror[odd] *= -1.0
             Y += mirror
-            Y *= np.array([1.0, -1.0, -1.0, 1.0])[t % 4, None]  # i^t, or i^(t + 1)
-            Y[:, 0] *= 0.5
-            series.append(SymmetricSeries(Y.reshape(n, n, M + 1), odd.reshape(n, n)))
+            Y *= np.array([1.0, -1.0, -1.0, 1.0])[t % 4][..., None]  # i^t, or i^(t + 1)
+            Y[..., 0] *= 0.5
+            series.append(SymmetricSeries(Y, odd))
         return tuple(series)
 
     def populations(self, theta: float) -> np.ndarray:

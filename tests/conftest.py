@@ -6,13 +6,17 @@ generator, loss from explicit binomial matrices, derivatives from central
 finite differences. The dense references (dense_psi3, dense_sigma3,
 dense_sigma4, loss_superoperator, dense_loss, loss_via_ancilla) are the
 per-phase d^2 x d^2 paths that the library's phase series, closed-form
-lossless QFI and photon-shift loss replaced; they share the engine's sigma2
-and serve as the tests' oracles. The row-by-row writers (loop_report_csv,
+lossless QFI and block-shift loss replaced; they build sigma2 themselves,
+from the TMSV through dense_loss, and serve as the tests' oracles. The
+complex beam splitter (_bs_matrix) and the TMSV amplitudes (tmsv_state) are
+the library's former joint-space forms, kept as oracles. The row-by-row
+writers (loop_report_csv,
 loop_report_json, loop_write_csv) are the report writers that the
 column-wise ones replaced, kept as byte-for-byte oracles.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +26,10 @@ from scipy.special import comb
 from tmsvfisher import FockCutoff
 from tmsvfisher.optics import (
     _BALANCED,
-    DensityElements,
-    _bs_matrix,
+    _bs_rephased,
     binomial_population_matrix,
+    block_loss,
+    block_shift_plan,
 )
 
 
@@ -36,6 +41,22 @@ def cutoff6():
 @pytest.fixture
 def cutoff10():
     return FockCutoff(10)
+
+
+def tmsv_state(z: float, cutoff: FockCutoff) -> np.ndarray:
+    """Truncated TMSV as a (d, d) amplitude array c[n_s, n_i]: sqrt(1-z^2) z^n
+    on |n, n>."""
+    d = cutoff.dim
+    amps = np.zeros((d, d), dtype=complex)
+    amps[np.arange(d), np.arange(d)] = math.sqrt(1.0 - z**2) * z ** np.arange(d)
+    return amps
+
+
+def _bs_matrix(eta: float, max_photons: int) -> np.ndarray:
+    """Joint-space beam splitter U = P R P, with R = _bs_rephased and P = diag(i^n_s)."""
+    d = max_photons + 1
+    ph = np.array([1, 1j, -1, -1j])[np.arange(d * d) // d % 4]
+    return ph[:, None] * _bs_rephased(eta, max_photons) * ph[None, :]
 
 
 def annihilation(d: int) -> np.ndarray:
@@ -115,17 +136,24 @@ def dense_loss(rho: np.ndarray, d: int, eta_s: float = 1.0, eta_i: float = 1.0) 
     return R.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def dense_sigma2(eng) -> np.ndarray:
+    """The engine config's sigma2 as a dense matrix: the TMSV's density
+    operator through dense_loss with the preparation transmissivities."""
+    psi = tmsv_vector(eng.squeezing.z, eng.cutoff.dim)
+    return dense_loss(np.outer(psi, psi), eng.cutoff.dim, eng.loss.eta_p_s, eng.loss.eta_p_i)
+
+
 def dense_sigma3(eng, theta: float, g=None):
     """(sigma3, dsigma3) at theta as dense matrices: the phase factor
-    exp(i theta g) conjugating A = U sigma2 U^dag, with the engine's sigma2,
-    then the second beam splitter. g defaults to the engine's generator
+    exp(i theta g) conjugating A = U sigma2 U^dag, with dense_sigma2, then
+    the second beam splitter. g defaults to the engine's generator
     (n_s - n_i)/2."""
     if g is None:
         g = difference_generator(eng.cutoff.dim)
     U = _bs_matrix(_BALANCED, eng.cutoff.max_photons)
     Uh = U.conj().T
     e = np.exp(1j * theta * g)
-    F = np.outer(e, e.conj()) * (U @ eng.sigma2 @ Uh)
+    F = np.outer(e, e.conj()) * (U @ dense_sigma2(eng) @ Uh)
     dF = 1j * (g[:, None] * F - F * g[None, :])
     return U @ F @ Uh, U @ dF @ Uh
 
@@ -157,12 +185,10 @@ def series_sigma4(eng, theta: float):
 
 
 def joint_loss(rho: np.ndarray, d: int, mode: str, eta: float) -> np.ndarray:
-    """The library's photon-shift loss kernel (optics.DensityElements) on one
-    mode of a joint density operator, with every element in its list."""
-    D = d * d
-    j, k = np.divmod(np.arange(D * D), D)
-    out = DensityElements(j, k, d).lose(rho.ravel(), eta, 0 if mode == "s" else 1)
-    return out.reshape(D, D)
+    """The library's block-shift loss kernel (optics.block_loss) on one mode
+    of a joint density operator, held as one block over the whole joint grid."""
+    plan = block_shift_plan((np.arange(d * d),), d)
+    return block_loss([rho[..., None]], plan, eta, 0 if mode == "s" else 1)[0][..., 0]
 
 
 def loss_via_ancilla(rho: np.ndarray, d: int, mode: str, eta: float) -> np.ndarray:

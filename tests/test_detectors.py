@@ -27,7 +27,8 @@ from tmsvfisher.detectors import (
     write_probe_csv,
 )
 from tmsvfisher.metrology import _sliced_thetas
-from tmsvfisher.optics import tmsv_state
+
+from conftest import tmsv_state
 
 
 def default_probe_ladder(n_points=15, lo=0.05, hi=12.8):
@@ -207,21 +208,15 @@ class TestTomography:
         assert np.array_equal(seen[0], before)
         assert np.array_equal(theta0, before)
 
-    def test_rank_deficient_allowed_warns_and_returns_complete_povm(self):
+    def test_rank_deficient_probe_matrix_raises(self):
         # three probes cannot resolve four photon-number rows
         truth = efficiency_povm(0.8, 1, 3)
         probes = ProbeSet((0.5, 1.0, 2.0), 10**4)
         resp = simulate_response(truth, probes)
         C = coherent_probe_matrix(probes.alpha_sq, truth.k_max)
         assert np.linalg.matrix_rank(C) < truth.k_max + 1
-        with pytest.raises(IdentifiabilityError):
+        with pytest.raises(IdentifiabilityError, match="column-rank deficient"):
             tomography_mle(resp, C)
-        with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            povm, diag = tomography_mle(resp, C, allow_rank_deficient=True)
-        assert diag.converged
-        assert povm.theta.shape == truth.theta.shape
-        assert povm.theta.min() >= 0.0
-        assert np.max(np.abs(povm.theta.sum(axis=1) - 1.0)) < 1e-12
 
     def test_log_likelihood_monotone(self):
         truth = efficiency_povm(0.8, 6, 6)

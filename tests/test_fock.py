@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tmsvfisher import ConfigError, FockCutoff, SqueezingParams
-from tmsvfisher.optics import tmsv_state
+
+from conftest import tmsv_state
 
 
 class TestFockCutoff:

@@ -80,12 +80,6 @@ class TestCountHistogram:
         with pytest.raises(ConfigError):
             CountHistogram(np.array([0.0]), counts, trials_per_phase=10)
 
-    def test_strict_mode_detection(self):
-        counts = np.zeros((1, 2, 2), dtype=int)
-        counts[0, 0, 0] = 10
-        assert CountHistogram(np.array([0.0]), counts, 10).is_strict()
-        assert not CountHistogram(np.array([0.0]), counts, 11).is_strict()
-
 
 class TestSimulateCounts:
     def test_deterministic_for_fixed_seed(self):

@@ -17,14 +17,16 @@ from tmsvfisher import optics
 from tmsvfisher.optics import (
     InterferometerEngine,
     _kept_sectors,
-    _parity_block_elements,
-    tmsv_state,
+    _parity_blocks,
+    block_loss,
 )
 
 from conftest import (
+    _bs_matrix,
     binomial_loss_matrix,
     bs_expm,
     dense_loss,
+    dense_sigma2,
     dense_sigma3,
     dense_sigma4,
     difference_generator,
@@ -32,6 +34,7 @@ from conftest import (
     loss_via_ancilla,
     random_density,
     series_sigma4,
+    tmsv_state,
     tmsv_vector,
 )
 
@@ -104,14 +107,14 @@ class TestBeamSplitter:
         # U is the projector onto the kept sectors N <= M, and exactly 0 on
         # the rows and columns of the sectors N > M
         kept = _kept_sectors(cutoff6).ravel()
-        U = optics._bs_matrix(1.0, cutoff6.max_photons)
+        U = _bs_matrix(1.0, cutoff6.max_photons)
         assert np.max(np.abs(U - np.diag(kept.astype(float)))) < 1e-13
         assert np.max(np.abs(U[~kept])) == 0.0
         assert np.max(np.abs(U[:, ~kept])) == 0.0
 
     def test_hong_ou_mandel(self, cutoff6):
         d = cutoff6.dim
-        U = optics._bs_matrix(0.5, cutoff6.max_photons)
+        U = _bs_matrix(0.5, cutoff6.max_photons)
         inp = np.zeros(d * d)
         inp[1 * d + 1] = 1.0
         out = U @ inp
@@ -121,7 +124,7 @@ class TestBeamSplitter:
 
     def test_single_photon_split(self, cutoff6):
         d = cutoff6.dim
-        U = optics._bs_matrix(0.5, cutoff6.max_photons)
+        U = _bs_matrix(0.5, cutoff6.max_photons)
         out = U @ np.eye(d * d)[1 * d + 0]
         assert abs(out[1 * d + 0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert abs(out[0 * d + 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -131,7 +134,7 @@ class TestBeamSplitter:
         # and the rows and columns of the sectors N > M are exactly 0
         kept = _kept_sectors(cutoff10).ravel()
         for eta in (0.1, 0.5, 0.926):
-            U = optics._bs_matrix(eta, cutoff10.max_photons)
+            U = _bs_matrix(eta, cutoff10.max_photons)
             err = np.max(np.abs(U.conj().T @ U - np.diag(kept.astype(float))))
             assert err < 1e-13
             assert np.max(np.abs(U[~kept])) == 0.0
@@ -139,7 +142,7 @@ class TestBeamSplitter:
 
     def test_block_structure_total_photon_number(self, cutoff6):
         d = cutoff6.dim
-        U = optics._bs_matrix(0.3, cutoff6.max_photons)
+        U = _bs_matrix(0.3, cutoff6.max_photons)
         tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
         off_block = U[tot[:, None] != tot[None, :]]
         assert np.max(np.abs(off_block)) == 0.0
@@ -151,7 +154,7 @@ class TestBeamSplitter:
             cutoff = FockCutoff(max_photons)
             ph = np.array([1, 1j, -1, -1j])[signal_photon_numbers(cutoff) % 4]
             for eta in (0.3, 0.5):
-                U = optics._bs_matrix(eta, max_photons)
+                U = _bs_matrix(eta, max_photons)
                 R = ph.conj()[:, None] * U * ph.conj()[None, :]
                 assert np.max(np.abs(R.imag)) == 0.0
 
@@ -160,7 +163,7 @@ class TestBeamSplitter:
         # oracle's own truncation error stays in the tail
         for d_small in (5, 11, 21):
             d_big = d_small + 7
-            U_lib = optics._bs_matrix(0.5, d_small - 1)
+            U_lib = _bs_matrix(0.5, d_small - 1)
             U_big = bs_expm(0.5, d_big)
             for ns in range(d_small):
                 for ni in range(d_small):
@@ -291,15 +294,15 @@ class TestLossChannel:
 
     def test_kernel_matches_dense_superoperator(self):
         # oracle: the dense (d^2, d^2) superoperator product. On the parity
-        # blocks' element list the kernel reads a source outside the list as
-        # 0, which is exact because loss maps a density supported on the
-        # blocks into the blocks
+        # blocks the kernel reads a state outside them as 0, which is exact
+        # because loss maps a density supported on the blocks into the blocks
         rng = np.random.default_rng(23)
         for max_photons in (1, 4, 7, 10):
             d = max_photons + 1
-            blocks, els = _parity_block_elements(max_photons)
+            blocks, plan = _parity_blocks(max_photons)
             on_blocks = np.zeros((d * d, d * d), dtype=bool)
-            on_blocks[els.rows, els.cols] = True
+            for b in blocks:
+                on_blocks[np.ix_(b, b)] = True
             for eta in (0.0, 1.0, *rng.uniform(0.05, 0.95, 2)):
                 rho = random_density(rng, d * d)
                 block_rho = np.where(on_blocks, rho, 0.0)
@@ -309,8 +312,10 @@ class TestLossChannel:
                     assert np.max(np.abs(joint_loss(rho, d, mode, eta) - want)) < 1e-14
                     want = dense_loss(block_rho, d, *etas)
                     assert np.max(np.abs(want[~on_blocks])) == 0.0
-                    got = els.lose(rho[els.rows, els.cols], eta, 0 if mode == "s" else 1)
-                    assert np.max(np.abs(got - want[els.rows, els.cols])) < 1e-14
+                    X = [rho[np.ix_(b, b)][..., None] for b in blocks]
+                    got = block_loss(X, plan, eta, 0 if mode == "s" else 1)
+                    for b, Y in zip(blocks, got):
+                        assert np.max(np.abs(Y[..., 0] - want[np.ix_(b, b)])) < 1e-14
 
     def test_trace_and_hermiticity_preserved(self, cutoff6):
         rng = np.random.default_rng(7)
@@ -321,8 +326,8 @@ class TestLossChannel:
 
 
 class TestEvolvePipeline:
-    """The dense per-phase state (conftest's dense_sigma4) built on the
-    engine's sigma2."""
+    """The dense per-phase state (conftest's dense_sigma4), and the engine's
+    sigma2 on the parity blocks."""
 
     def test_vacuum_in_vacuum_out(self, cutoff6):
         eng = InterferometerEngine(SqueezingParams(0.0), LossModel.symmetric(0.7), cutoff6)
@@ -355,15 +360,39 @@ class TestEvolvePipeline:
         assert rho[1 * d + 1, 1 * d + 1].real == pytest.approx(p11_oracle, abs=1e-8)
 
     def test_sigma2_mean_photons_eta_weighted(self, cutoff6):
+        # the blocks hold the kept sectors n_s + n_i <= M; the sectors the
+        # model drops are completed from the pair distribution
         z = 0.4
         loss = LossModel(0.6, 0.9, 1.0, 1.0)
         eng = InterferometerEngine(SqueezingParams(z), loss, cutoff6)
         n_bar_arm = SqueezingParams(z).mean_photons / 2
-        pops = np.real(np.diag(eng.sigma2)).reshape(cutoff6.dim, cutoff6.dim)
+        pops = optics.pair_distribution(z, 0.6, 0.9, cutoff6.dim)
+        pops[_kept_sectors(cutoff6)] = 0.0
+        pops = pops.ravel()
+        for b, sigma2 in zip(eng.parity_blocks, eng.sigma2_blocks()):
+            pops[b] = np.diag(sigma2)
+        pops = pops.reshape(cutoff6.dim, cutoff6.dim)
         n = np.arange(cutoff6.dim)
         tail = z ** (2 * (cutoff6.max_photons + 1))  # pair mass beyond the cutoff
         for got, eta in ((pops.sum(axis=1) @ n, 0.6), (pops.sum(axis=0) @ n, 0.9)):
             assert abs(got - eta * n_bar_arm) < 10 * tail + 1e-10
+
+    def test_sigma2_blocks_match_dense_loss_of_tmsv(self):
+        # oracle: conftest's dense_sigma2, the dense preparation loss of
+        # |TMSV><TMSV| on the whole joint grid, restricted to each block; z
+        # up to 0.85 puts mass in the sectors N > M, and transmissivities
+        # include 0 and 1
+        rng = np.random.default_rng(1313)
+        for _ in range(24):
+            c = FockCutoff(int(rng.integers(1, 17)))
+            z = rng.uniform(0.0, 0.85)
+            etas = rng.uniform(0.0, 1.0, 2)
+            etas[rng.integers(2)] = rng.choice([0.0, 1.0, rng.uniform()])
+            eng = InterferometerEngine(SqueezingParams(z), LossModel(*etas), c)
+            want = dense_sigma2(eng)
+            for b, sigma2 in zip(eng.parity_blocks, eng.sigma2_blocks()):
+                assert sigma2.dtype == np.float64
+                assert np.max(np.abs(sigma2 - want[np.ix_(b, b)])) < 1e-15
 
     def test_relabeling_symmetry(self, cutoff6):
         d = cutoff6.dim
@@ -432,7 +461,7 @@ class TestEngineInternals:
             psi = tmsv_vector(z, d)
             rho = np.outer(psi, psi).astype(complex)
             rho = _kraus_oracle(_kraus_oracle(rho, etas[0], d, "s"), etas[1], d, "i")
-            U = optics._bs_matrix(0.5, max_photons)
+            U = _bs_matrix(0.5, max_photons)
             W = U @ np.diag(np.exp(1j * theta * difference_generator(d))) @ U
             sigma3 = W @ rho @ W.conj().T
             sigma4, dsigma4 = dense_sigma4(eng, theta)
@@ -455,13 +484,12 @@ class TestEngineInternals:
                 etas[rng.integers(4)] = rng.choice([0.0, 1.0])
                 eng = InterferometerEngine(SqueezingParams(z), LossModel(*etas), c)
                 # sigma2's fixed-N blocks are diagonal and carry q
-                sigma2 = eng.sigma2
-                pops2 = np.real(np.diag(sigma2)).reshape(d, d)
-                pairs = optics.pair_distribution(z, etas[0], etas[1], d)
-                assert np.max(np.abs(pairs - pops2)) < 1e-15
+                pairs = optics.pair_distribution(z, etas[0], etas[1], d).ravel()
                 N = np.add.outer(np.arange(d), np.arange(d)).ravel()
-                same_n = (N[:, None] == N[None, :]) & ~np.eye(d * d, dtype=bool)
-                assert np.max(np.abs(sigma2[same_n]), initial=0.0) < 1e-15
+                for b, sigma2 in zip(eng.parity_blocks, eng.sigma2_blocks()):
+                    assert np.max(np.abs(pairs[b] - np.diag(sigma2))) < 1e-15
+                    same_n = (N[b, None] == N[None, b]) & ~np.eye(b.size, dtype=bool)
+                    assert np.max(np.abs(sigma2[same_n]), initial=0.0) < 1e-15
                 for th in rng.uniform(0.0, 2 * np.pi, 2):
                     sigma4, dsigma4 = dense_sigma4(eng, th)
                     want = np.real(np.diag(sigma4)).reshape(d, d)
