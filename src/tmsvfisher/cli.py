@@ -6,6 +6,7 @@ All outputs are deterministic for a given config and seed.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -62,7 +63,9 @@ def _parse_pair(text, name):
     if len(values) == 1:
         values = values * 2
     if len(values) != 2:
-        raise ConfigError(f"{name} expects 'a,b' (or a single shared value), got {text!r}")
+        raise ConfigError(
+            f"{name} expects 'a,b' (or a single shared value), got {text!r} (field: {name})"
+        )
     return values[0], values[1]
 
 
@@ -114,19 +117,33 @@ def _merged(args, keys):
     return out
 
 
+@contextlib.contextmanager
+def _naming(field):
+    """Name the CLI field in the error a model parameter's value raises."""
+    try:
+        yield
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{exc} (field: {field})") from exc
+
+
 def _squeezing_from(opts):
     z, nbar = opts.get("z"), opts.get("nbar")
     if (z is None) == (nbar is None):
         raise ConfigError("exactly one of --z / --nbar must be supplied (field: z/nbar)")
     if z is not None:
-        return SqueezingParams(float(z))
-    return SqueezingParams.from_mean_photons(float(nbar))
+        with _naming("z"):
+            return SqueezingParams(float(z))
+    with _naming("nbar"):
+        return SqueezingParams.from_mean_photons(float(nbar))
 
 
 def _loss_from(opts):
     eta_p = _parse_pair(str(opts.get("eta_p", "1,1") or "1,1"), "eta-p")
     eta_d = _parse_pair(str(opts.get("eta_d", "1,1") or "1,1"), "eta-d")
-    return LossModel(eta_p[0], eta_p[1], eta_d[0], eta_d[1])
+    with _naming("eta-p"):
+        LossModel(*eta_p)  # the eta-p pair alone, so that its error names its flag
+    with _naming("eta-d"):
+        return LossModel(*eta_p, *eta_d)
 
 
 def _detector_from(spec, cutoff: FockCutoff, n_max: int):

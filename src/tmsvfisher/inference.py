@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from .detectors import DetectorPovm, nonnegative_int, parse_csv_rows
-from .errors import ConfigError
+from .errors import ConfigError, IdentifiabilityError
 from .fock import FockCutoff
 from .metrology import _sliced_thetas, outcome_series
 from .optics import (
@@ -408,7 +408,11 @@ def fit_model(
     steps (_fisher_scoring); the covariance is the inverse expected
     information at the best start's optimum.
     Detector POVMs are taken as known (tomography-calibrated);
-    freeing eta_d alongside eta_p is allowed but warned as weakly identifiable.
+    freeing eta_d alongside eta_p is allowed but warned as weakly identifiable,
+    and freeing all four efficiencies raises IdentifiabilityError before any
+    evaluation: equal loss on both modes commutes with the interferometer, so
+    one direction of the four leaves the outcome law unchanged
+    (docs/decisions.md, entry 15).
     """
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts} (field: starts)")
@@ -417,6 +421,12 @@ def fit_model(
     for name in free:
         if name not in FREE_PARAM_NAMES:
             raise ConfigError(f"unknown free parameter {name!r} (field: free)")
+    if set(FREE_PARAM_NAMES[1:]) <= set(free):
+        raise IdentifiabilityError(
+            "the four efficiencies cannot all be free: preparation efficiencies "
+            "scaled by c and detection efficiencies divided by c give the same "
+            "outcome law (field: free)"
+        )
     fixed = dict(fixed or {})
     for name, value in fixed.items():
         if name not in FREE_PARAM_NAMES:

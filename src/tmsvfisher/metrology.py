@@ -97,7 +97,13 @@ def _warn_suspects(n_suspect):
 def _cfi_on_grid(series: PhaseSeries, grid) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-phase CFI of an outcome series over a phase grid, PHASE_BLOCK phases
     per product; also returns the per-phase near-singular outcome counts and
-    the largest |sum of dp over outcomes| at any of its phases."""
+    the largest |sum of dp over outcomes| at any of its phases.
+
+    Only the series' support is evaluated: an outcome whose coefficients are
+    all zero has p = dp = 0 at every phase, so it adds nothing to the CFI, is
+    never near-singular and adds nothing to the sum of dp.
+    """
+    series = series.support
     grid = np.asarray(grid, dtype=float).ravel()
     cfi = np.empty(grid.size)
     n_suspect = np.empty(grid.size, dtype=int)
@@ -233,8 +239,17 @@ class FisherReport:
 
 
 def _float_text(values) -> list[str]:
-    """repr of each float of an array, the spelling of both report files."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    """repr of each float of an array, the spelling of both report files.
+
+    Each distinct float64 bit pattern is formatted once and its text copied to
+    the entries that hold it: a mirrored sweep column holds most of its values
+    twice. Bit patterns, unlike values, keep -0.0 apart from 0.0
+    (docs/decisions.md, entry 14).
+    """
+    bits = np.asarray(values, dtype=float).ravel().view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _json_floats(text: list[str]) -> str:

@@ -35,8 +35,8 @@ class SqueezingParams:
     @classmethod
     def from_mean_photons(cls, n_bar: float) -> "SqueezingParams":
         """Invert n_bar = 2z^2/(1-z^2); closed form z = sqrt(n_bar/(n_bar+2))."""
-        if n_bar < 0:
-            raise ConfigError(f"mean photon number must be >= 0, got {n_bar}")
+        if not 0.0 <= n_bar < math.inf:
+            raise ConfigError(f"mean photon number must be finite and >= 0, got {n_bar}")
         return cls(math.sqrt(n_bar / (n_bar + 2.0)))
 
 
@@ -269,6 +269,16 @@ class PhaseSeries:
     def _rows(self) -> np.ndarray:
         """The coefficients flattened to one row per w."""
         return self.coeffs.reshape(self.coeffs.shape[0], -1)
+
+    @cached_property
+    def support(self) -> "PhaseSeries":
+        """The series over the flattened entries whose coefficients are not
+        all zero, in their order; the series itself when none is zero. The
+        others are 0 at every phase, as is their derivative: for an outcome
+        series, the outcomes no kept sector N <= M reaches (docs/decisions.md,
+        entry 14)."""
+        keep = np.any(self._rows != 0.0, axis=0)
+        return self if keep.all() else PhaseSeries(self._rows[:, keep])
 
     def values(self, thetas) -> np.ndarray:
         """f at each phase; shape thetas.shape + the coefficients' trailing shape."""

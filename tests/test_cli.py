@@ -135,6 +135,38 @@ class TestSweep:
         assert np.array_equal(data["cfi"], payload["cfi"])
         assert np.array_equal(data["phase"], payload["phase_grid"])
 
+    def test_report_formats_each_distinct_float_once(self, tmp_path, monkeypatch):
+        # the published 2048-phase sweep: each column formats its distinct
+        # values once. The phases are distinct, while cfi and cfi_per_photon
+        # hold at most one value per mirror class, 1025 of them (fewer when
+        # two classes round to the same float)
+        formatted = []
+        per_column = []
+        real = tmsvfisher.metrology._float_text
+
+        def counted_repr(value):
+            formatted.append(value)
+            return repr(value)
+
+        def counted(values):
+            before = len(formatted)
+            text = real(values)
+            per_column.append(len(formatted) - before)
+            return text
+
+        monkeypatch.setattr(tmsvfisher.metrology, "repr", counted_repr, raising=False)
+        monkeypatch.setattr(tmsvfisher.metrology, "_float_text", counted)
+        prefix = str(tmp_path / "count_")
+        assert run("sweep", "--nbar", 3.631e-3, "--eta-d", "0.805,0.815", "--cutoff", 10,
+                   "--no-qfi", "--out-prefix", prefix) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "count_fisher.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        cfi, cfi_per_photon = ([row[rows[0].index(name)] for row in rows[1:]]
+                               for name in ("cfi", "cfi_per_photon"))
+        assert per_column == [2048, len(set(cfi)), len(set(cfi_per_photon))]
+        assert len(cfi) == 2048 and len(set(cfi)) <= 1025 and len(set(cfi_per_photon)) <= 1025
+        assert all(cfi[k] == cfi[2048 - k] for k in range(1, 1024))
+
 
 class TestConfigErrors:
     def test_both_z_and_nbar_rejected(self, tmp_path):
@@ -151,6 +183,28 @@ class TestConfigErrors:
     def test_unknown_detector_rejected(self, tmp_path):
         assert run("sweep", "--z", 0.2, "--detector", "sonar",
                    "--out-prefix", str(tmp_path / "x_")) == 2
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--z", 0.2, "--eta-d", 1.5), "eta-d"),
+            (("--z", 0.2, "--eta-p", "0.9,-0.1"), "eta-p"),
+            (("--z", 0.2, "--eta-d", "0.9,nan"), "eta-d"),
+            (("--z", 0.2, "--eta-p", "0.9,0.8,0.7"), "eta-p"),
+            (("--z", 1), "z"),
+            (("--nbar", -1), "nbar"),
+            (("--nbar", "inf"), "nbar"),
+            (("--nbar", "nan"), "nbar"),
+        ],
+    )
+    def test_model_parameter_error_names_field(self, tmp_path, capsys, flags, field):
+        prefix = tmp_path / "x_"
+        assert run("sweep", *flags, "--phases", 8, "--out-prefix", prefix) == 2
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err, err
+        if field == "nbar":  # not as the nan squeezing parameter a non-finite nbar gives
+            assert "mean photon number" in err, err
+        assert not (tmp_path / "x_fisher.csv").exists()
 
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -431,6 +485,17 @@ class TestFit:
         out = tmp_path / "out"
         assert run(argv[0], counts, "--cutoff", 3, *argv[1:], "--out", out) == 2
         assert f"(field: {field})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("free", ["eta_p_s,eta_p_i,eta_d_s,eta_d_i",
+                                      "eta_d_i,z,eta_p_i,eta_d_s,eta_p_s"])
+    def test_all_four_efficiencies_free_exits_identifiability(self, tmp_path, capsys, free):
+        counts = tmp_path / "counts.csv"
+        assert run("simulate-counts", "--z", 0.15, "--cutoff", 3, "--phases", 2,
+                   "--trials", 1000, "--seed", 3, "--out", counts) == 0
+        out = tmp_path / "fit.json"
+        assert run("fit", counts, "--cutoff", 3, "--free", free, "--out", out) == 3
+        assert "(field: free)" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from tmsvfisher import (
     ConfigError,
     FockCutoff,
+    IdentifiabilityError,
     InterferometerConfig,
     LossModel,
     SqueezingParams,
@@ -17,7 +18,7 @@ from tmsvfisher import (
     ideal_pnr_povm,
     simulate_counts,
 )
-from tmsvfisher import inference, optics
+from tmsvfisher import inference, metrology, optics
 from tmsvfisher.inference import (
     FREE_PARAM_NAMES,
     CountHistogram,
@@ -184,6 +185,38 @@ class TestFitModel:
             )
         assert "weak-identifiability:eta_d-free" in fit.flags
 
+    def test_outcome_law_constant_along_efficiency_curve(self):
+        # equal loss on both modes commutes with the interferometer, so
+        # preparation efficiencies scaled by c with detection efficiencies
+        # divided by c give the same untruncated outcome law; each truncated
+        # law falls short of it by a sub-measure of its dropped mass
+        rng = np.random.default_rng(1701)
+        for max_photons in range(3, 17):
+            cutoff = FockCutoff(max_photons)
+            pnr = ideal_pnr_povm(max_photons, max_photons)
+            z = rng.uniform(0.05, 0.7)
+            eta_p, eta_d = rng.uniform(0.3, 0.85, 2), rng.uniform(0.3, 0.85, 2)
+            c = rng.uniform(eta_d.max(), 1.0 / eta_p.max())
+            phases = rng.uniform(0.0, 2 * math.pi, 8)
+            probs, masses = [], []
+            for loss in (LossModel(*eta_p, *eta_d), LossModel(*(c * eta_p), *(eta_d / c))):
+                cfg = InterferometerConfig(SqueezingParams(z), loss, 0.0, cutoff)
+                probs.append(metrology.outcome_series(cfg, pnr, pnr).values(phases))
+                masses.append(optics.truncation_mass(cfg.squeezing, loss, cutoff))
+            assert np.max(np.abs(probs[0] - probs[1])) <= max(masses) + 1e-14, max_photons
+
+    @pytest.mark.parametrize("free", [
+        FREE_PARAM_NAMES, FREE_PARAM_NAMES[1:], ("eta_d_i", "eta_p_s", "eta_d_s", "eta_p_i"),
+    ])
+    def test_all_four_efficiencies_free_raises_before_evaluation(self, monkeypatch, free):
+        cfg = _truth_config(max_photons=4)
+        hist, pnr = _synthetic_hist(cfg, trials=1000, n_phases=4)
+        built = []
+        monkeypatch.setattr(inference, "_FitObjective", lambda *args: built.append(args))
+        with pytest.raises(IdentifiabilityError, match="field: free"):
+            fit_model(hist, pnr, pnr, cfg.cutoff, free=free)
+        assert built == []
+
 
 class TestFitObjective:
     def test_model_probs_match_dense_sigma4(self):
@@ -251,7 +284,8 @@ class TestFitObjective:
                 assert evaluations > 2
                 assert len(calls) == per_evaluation * evaluations + once
 
-    @pytest.mark.parametrize("free", [("z",), FREE_PARAM_NAMES])
+    # the largest free set fit_model accepts: all four efficiencies raise
+    @pytest.mark.parametrize("free", [("z",), FREE_PARAM_NAMES[:4]])
     def test_gof_dof_counts_the_free_parameters(self, free):
         cfg = _truth_config(max_photons=4)
         hist, pnr = _synthetic_hist(cfg, trials=20_000, n_phases=4)

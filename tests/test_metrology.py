@@ -252,15 +252,23 @@ class TestSweep:
         real_series = metrology.outcome_series
 
         class OffsetSeries:
+            """The support of a real outcome series, which the CFI evaluates,
+            with dp offset on its first column: the vacuum outcome (0, 0),
+            never pruned, far above P_FLOOR."""
+
             def __init__(self, series):
-                self.series = series
+                self.series = series.support
+
+            @property
+            def support(self):
+                return self
 
             def values(self, thetas):
                 return self.series.values(thetas)
 
             def derivatives(self, thetas):
                 dp = self.series.derivatives(thetas)
-                dp[..., 0, 0] += 1e-8  # the vacuum outcome, far above P_FLOOR
+                dp[..., 0] += 1e-8
                 return dp
 
         monkeypatch.setattr(
@@ -706,6 +714,57 @@ class TestMirrorClassCfi:
         assert len(rec) == 1
 
 
+class TestCfiSupport:
+    """The CFI evaluates only the outcomes whose coefficients are not all zero."""
+
+    @staticmethod
+    def _every_outcome(series, grid):
+        """The CFI rows, near-singular counts and sum of dp over every outcome."""
+        p = series.values(grid).reshape(grid.size, -1)
+        dp = series.derivatives(grid).reshape(grid.size, -1)
+        return (*metrology._cfi_rows(p, dp), np.max(np.abs(dp.sum(axis=1))))
+
+    def test_matches_every_outcome_on_random_configs(self):
+        rng = np.random.default_rng(1401)
+        # the dark fringe theta = 0 and its neighbours bring near-singular outcomes
+        grid = np.concatenate([default_phase_grid(300), [1e-8, -2e-8, 3e-7]])
+        for max_photons in range(3, 13):
+            lossless = rng.random() < 0.3
+            etas = np.ones(4) if lossless else rng.uniform(0.5, 0.99, 4)
+            cfg = _config(rng.uniform(0.05, 0.6), LossModel(*etas), max_photons=max_photons)
+            pnr = _pnr(max_photons)
+            povms = [
+                pnr,
+                ideal_pnr_povm(int(rng.integers(1, max_photons)), max_photons),
+                click_povm_from(pnr),
+                efficiency_povm(rng.uniform(0.6, 0.95), max_photons, max_photons),
+            ]
+            for povm in povms:
+                series = outcome_series(cfg, povm, povm)
+                cfi, n_suspect, dsum = metrology._cfi_on_grid(series, grid)
+                want, want_suspect, want_dsum = self._every_outcome(series, grid)
+                assert np.linalg.norm(cfi - want) <= 1e-14 * np.linalg.norm(want), max_photons
+                assert np.array_equal(n_suspect, want_suspect), max_photons
+                assert abs(dsum - want_dsum) <= 1e-14, max_photons
+
+    @pytest.mark.parametrize("max_photons", [3, 10])
+    def test_support_drops_exactly_the_unreachable_outcomes(self, max_photons):
+        # under ideal PNR, outcome (j, k) needs j + k photons, which only the
+        # sectors N > M hold; the support is the same view on every access
+        cfg = _config(0.3, LossModel(0.9, 0.8, 0.85, 0.95), max_photons=max_photons)
+        pnr = _pnr(max_photons)
+        series = outcome_series(cfg, pnr, pnr)
+        n = np.arange(max_photons + 1)
+        reach = np.add.outer(n, n).ravel() <= max_photons
+        assert series.support is series.support
+        assert np.array_equal(series.support.coeffs, series.coeffs.reshape(max_photons + 1, -1)[:, reach])
+        assert not np.any(series.coeffs.reshape(max_photons + 1, -1)[:, ~reach])
+        # a click detector reaches every outcome, so its support is the series
+        click = click_povm_from(pnr)
+        click_series = outcome_series(cfg, click, click)
+        assert click_series.support is click_series
+
+
 class TestSubSnlFraction:
     def test_all_below_gives_zero(self):
         grid = default_phase_grid(1024)
@@ -824,6 +883,24 @@ def _random_floats(rng, n):
 
 class TestReportWriters:
     """The column-wise writers give the bytes of the row-by-row loops."""
+
+    def test_float_text_formats_each_bit_pattern_like_repr(self):
+        rng = np.random.default_rng(1305)
+        payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.5, *payload])
+        mirrored = rng.standard_normal(1025)
+        for values in (
+            special,
+            np.repeat(special, 3),
+            rng.permutation(np.tile(special, 40)),
+            np.concatenate([mirrored, mirrored[-2:0:-1]]),
+            _random_floats(rng, 2048)[rng.integers(0, 2048, 4096)],
+            np.full(2048, 0.0036441),
+            np.array([]),
+            special[::3],
+        ):
+            assert metrology._float_text(values) == list(map(repr, values.tolist()))
+        assert metrology._float_text((0.5, -0.0, 0.5)) == ["0.5", "-0.0", "0.5"]
 
     METADATA = [
         {},
